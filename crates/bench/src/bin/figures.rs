@@ -352,7 +352,7 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         entry.name, entry.tiles, entry.banks, entry.ram_word_cycles, entry.wall_cycles
     );
     println!(
-        "  event queue {:.1} Mc/s | lock-step {:.1} Mc/s ({:.2}x) | per-cycle {:.1} Mc/s ({:.2}x, floor {:.0}x)",
+        "  event queue {:.1} Mc/s | lock-step {:.1} Mc/s ({:.2}x) | per-cycle {:.1} Mc/s ({:.2}x, floor {:.2}x)",
         entry.eq_mcycles_per_sec,
         entry.lockstep_mcycles_per_sec,
         entry.host_speedup_vs_lockstep,
@@ -457,8 +457,8 @@ fn serve_stream() -> Vec<hht_serve::Request> {
 }
 
 /// The `BENCH_serve.json` benchmark: the pinned mixed-tenant stream served
-/// under three service configurations, each measured against the same
-/// naive serial cold one-shot loop. Cache/pool/batch counters and
+/// under two service configurations, each measured against the same
+/// naive serial cold one-shot loop. Replay/batch counters and
 /// simulated cycles are deterministic gates; host jobs/sec is
 /// informational, and the serve-vs-naive speedup (a same-machine ratio) is
 /// gated only against the committed `min_speedup` floor.
@@ -478,7 +478,7 @@ fn serve_bench(
     let fab = FabricConfig::scaled(tiles);
     header(
         "Serving benchmark (mixed 64-512 stream, 90% sparsity, 4 tenants)",
-        "warm-fabric service vs naive one-shot loop; deterministic counters are the CI gate",
+        "replay + batching service vs naive one-shot loop; deterministic counters are the CI gate",
     );
     let requests = serve_stream();
     let t0 = Instant::now();
@@ -488,18 +488,11 @@ fn serve_bench(
     println!("naive: {} jobs in {:.3}s ({:.1} jobs/s)", requests.len(), naive_secs, naive_jps);
     drop(naive);
     // (name, service config, committed speedup floor). The headline
-    // replay configuration carries the >=5x acceptance floor; the other
-    // floors leave headroom for CI machine noise (measured ~2.8x and
-    // ~1.05x respectively — plan+pool alone saves only host setup, which
-    // is a few percent of a sim-dominated job).
+    // replay configuration carries the >=5x acceptance floor; the batching
+    // floor leaves headroom for CI machine noise (measured ~2.7x).
     let shapes = [
         ("mixed_replay_4t", ServiceConfig { batching: false, ..ServiceConfig::default() }, 5.0),
         ("mixed_batching_4t", ServiceConfig::default(), 1.5),
-        (
-            "plan_pool_only_4t",
-            ServiceConfig { batching: false, replay: false, ..ServiceConfig::default() },
-            0.8,
-        ),
     ];
     let mut report = ServeBenchReport::new();
     for (name, scfg, floor) in shapes {
@@ -515,16 +508,11 @@ fn serve_bench(
             banks: fab.banks,
             requests: stats.requests,
             replay_hits: stats.replay_hits,
-            plan_hits: stats.plan_hits,
-            plan_misses: stats.plan_misses,
             batches: stats.batches,
             batched_jobs: stats.batched_jobs,
             singleton_passes: stats.singleton_passes,
-            pool_reuses: stats.pool_reuses,
-            pool_builds: stats.pool_builds,
             sim_cycles: stats.sim_cycles,
             hit_rate: stats.hit_rate(),
-            pool_reuse_rate: stats.pool_reuse_rate(),
             naive_secs,
             serve_secs,
             naive_jobs_per_sec: naive_jps,
@@ -535,7 +523,7 @@ fn serve_bench(
             p99_us: percentile_us(&lats, 99.0),
         };
         println!(
-            "{}: {:.1} jobs/s ({:.2}x naive, floor {:.0}x)  p50 {:.0}us p99 {:.0}us",
+            "{}: {:.1} jobs/s ({:.2}x naive, floor {:.2}x)  p50 {:.0}us p99 {:.0}us",
             entry.name,
             entry.serve_jobs_per_sec,
             entry.speedup,
@@ -544,22 +532,18 @@ fn serve_bench(
             entry.p99_us,
         );
         println!(
-            "  replay {}/{} ({:.0}% hit)  plans {}+{}  batches {} ({} jobs)  pool reuse {}/{} ({:.0}%)  {:.2} Mcycles",
+            "  replay {}/{} ({:.0}% hit)  batches {} ({} jobs)  singletons {}  {:.2} Mcycles",
             entry.replay_hits,
             entry.requests,
             100.0 * entry.hit_rate,
-            entry.plan_hits,
-            entry.plan_misses,
             entry.batches,
             entry.batched_jobs,
-            entry.pool_reuses,
-            entry.pool_reuses + entry.pool_builds,
-            100.0 * entry.pool_reuse_rate,
+            entry.singleton_passes,
             entry.sim_cycles as f64 / 1e6,
         );
         assert!(
             entry.speedup >= entry.min_speedup,
-            "{}: measured speedup {:.2}x is below the committed {:.0}x floor",
+            "{}: measured speedup {:.2}x is below the committed {:.2}x floor",
             entry.name,
             entry.speedup,
             entry.min_speedup

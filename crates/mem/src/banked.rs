@@ -128,13 +128,6 @@ impl SharedMemory {
         Self::from_parts(sram.into_data(), word_cycles, banks, tiles)
     }
 
-    /// Consume the memory and recover its raw byte buffer, discarding port
-    /// state. The warm fabric pool recycles the multi-megabyte allocation
-    /// of a retired fabric into the next job's image build.
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
-
     fn from_parts(data: Vec<u8>, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
         assert!(banks >= 1, "at least one bank");

@@ -179,12 +179,6 @@ impl Dram {
         &mut self.mem
     }
 
-    /// Consume the wrapper and recover the banked memory (row/window/budget
-    /// timing state is discarded).
-    pub fn into_inner(self) -> SharedMemory {
-        self.mem
-    }
-
     /// Transactions of `tile` whose responses are still outstanding at
     /// `now` (the window occupancy the MLP cap is tested against).
     pub fn in_flight(&self, tile: usize, now: u64) -> usize {
@@ -380,15 +374,6 @@ impl FabricMemory {
         match self {
             FabricMemory::Shared(m) => m,
             FabricMemory::Dram(d) => d.inner_mut(),
-        }
-    }
-
-    /// Consume the memory (either variant) and recover the raw byte buffer
-    /// for recycling into the next job's image build.
-    pub fn into_data(self) -> Vec<u8> {
-        match self {
-            FabricMemory::Shared(m) => m.into_data(),
-            FabricMemory::Dram(d) => d.into_inner().into_data(),
         }
     }
 

@@ -114,16 +114,6 @@ impl Sram {
         self.data
     }
 
-    /// House an existing byte array (e.g. a recycled buffer from a retired
-    /// fabric, or a cached problem image) as a fresh SRAM. The port state
-    /// is pristine — identical to [`Sram::new`] over the same bytes — so a
-    /// warm-pool rebuild is bit-identical to a cold one by construction.
-    pub fn from_data(data: Vec<u8>, word_cycles: u64) -> Self {
-        assert!(word_cycles >= 1, "an access takes at least one cycle");
-        assert!(u32::try_from(data.len()).is_ok(), "SRAM is 32-bit addressed");
-        Sram { data, word_cycles, free_at: 0, stats: SramStats::default(), obs: None }
-    }
-
     /// Cycles one word access occupies the port.
     pub fn word_cycles(&self) -> u64 {
         self.word_cycles

@@ -1,14 +1,14 @@
-//! Content-addressed job caches: the plan tier and the replay tier.
+//! The content-addressed replay cache.
 //!
 //! Keys are built from `hht_sparse::hash` stable content hashes, so a key
 //! names the *mathematical* job, not the allocation that carried it —
 //! clients resubmitting an equal matrix from a different buffer still hit.
-//! Both tiers are bounded FIFO caches: inserts past capacity evict the
-//! oldest entry, which keeps eviction deterministic (no recency state that
-//! would make hit counts depend on timing).
+//! The cache is a bounded FIFO: inserts past capacity evict the oldest
+//! entry, which keeps eviction deterministic (no recency state that would
+//! make hit counts depend on timing).
 
 use crate::request::{KernelKind, Operand, Request};
-use hht_system::runner::{FabricPlan, FabricRunOutput};
+use hht_system::runner::FabricRunOutput;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -25,20 +25,6 @@ pub struct CacheKey {
     pub operand: u64,
 }
 
-/// Plan-tier key. For SpMV the operand hash is zero: the layout depends
-/// only on the matrix shape (the dense vector occupies a fixed-size region
-/// that a hit patches in place). For SpMSpV the operand's nonzero count
-/// shapes the layout, so the operand hash participates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// [`KernelKind::family_tag`] (both SpMSpV variants share plans).
-    pub family: u8,
-    /// Matrix content hash.
-    pub matrix: u64,
-    /// Operand content hash (0 for SpMV).
-    pub operand: u64,
-}
-
 impl CacheKey {
     /// Key for `request`, given its precomputed content hashes.
     pub fn new(kernel: KernelKind, matrix: u64, operand: u64) -> Self {
@@ -46,28 +32,7 @@ impl CacheKey {
     }
 }
 
-impl PlanKey {
-    /// Plan key for `request`, given its precomputed content hashes.
-    pub fn new(kernel: KernelKind, matrix: u64, operand: u64) -> Self {
-        let operand = match kernel {
-            KernelKind::Spmv => 0,
-            KernelKind::SpmspvV1 | KernelKind::SpmspvV2 => operand,
-        };
-        PlanKey { family: kernel.family_tag(), matrix, operand }
-    }
-}
-
-/// A cached plan plus the hash of the dense operand currently baked into
-/// its image (SpMV only; `0` for SpMSpV plans, whose operand is part of
-/// the key).
-pub struct PlanEntry {
-    /// The reusable image/layout/shards.
-    pub plan: Arc<FabricPlan>,
-    /// Content hash of the dense vector whose bytes `plan.image` holds.
-    pub baked_operand: u64,
-}
-
-/// Bounded FIFO map used by both tiers.
+/// Bounded FIFO map backing the replay tier.
 pub struct FifoCache<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
@@ -76,7 +41,7 @@ pub struct FifoCache<K, V> {
 
 impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
     /// An empty cache evicting beyond `cap` entries (`cap == 0` disables
-    /// the tier: every lookup misses, every insert is dropped).
+    /// it: every lookup misses, every insert is dropped).
     pub fn new(cap: usize) -> Self {
         FifoCache { map: HashMap::new(), order: VecDeque::new(), cap }
     }
@@ -84,11 +49,6 @@ impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
     /// Lookup without touching eviction order.
     pub fn get(&self, k: &K) -> Option<&V> {
         self.map.get(k)
-    }
-
-    /// Mutable lookup (the SpMV plan tier patches images in place).
-    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        self.map.get_mut(k)
     }
 
     /// Insert, evicting the oldest entry when full.
@@ -203,16 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_plan_key_ignores_operand_spmspv_does_not() {
-        let a = PlanKey::new(KernelKind::Spmv, 7, 100);
-        let b = PlanKey::new(KernelKind::Spmv, 7, 200);
-        assert_eq!(a, b);
-        let c = PlanKey::new(KernelKind::SpmspvV1, 7, 100);
-        let d = PlanKey::new(KernelKind::SpmspvV1, 7, 200);
-        assert_ne!(c, d);
-        // The SpMSpV variants share the plan tier…
-        assert_eq!(c, PlanKey::new(KernelKind::SpmspvV2, 7, 100));
-        // …but never the replay tier.
+    fn spmspv_variants_get_distinct_replay_keys() {
+        // Same matrix and operand, different kernel: the outputs differ,
+        // so the replay tier must never serve one variant for the other.
         assert_ne!(
             CacheKey::new(KernelKind::SpmspvV1, 7, 100),
             CacheKey::new(KernelKind::SpmspvV2, 7, 100)

@@ -26,15 +26,6 @@ impl KernelKind {
             KernelKind::SpmspvV2 => 2,
         }
     }
-
-    /// Both SpMSpV variants run over the same problem image and layout,
-    /// so they share plan-cache entries; the family tag keys that tier.
-    pub fn family_tag(self) -> u8 {
-        match self {
-            KernelKind::Spmv => 0,
-            KernelKind::SpmspvV1 | KernelKind::SpmspvV2 => 1,
-        }
-    }
 }
 
 /// The kernel's vector operand. Requests hold `Arc`s so a client replaying
@@ -91,10 +82,8 @@ impl Request {
 /// How a request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Served {
-    /// Full cold path: layout computed, fabric pass simulated.
+    /// Fabric pass simulated: image built and the job run cold.
     Cold,
-    /// Plan-cache hit: layout/shards reused, fabric pass simulated.
-    PlanHit,
     /// Replay-cache hit: no simulation, the memoized output was returned
     /// (bit-identical to re-running, by the pinned determinism).
     ReplayHit,

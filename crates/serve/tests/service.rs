@@ -1,5 +1,5 @@
-//! Differential tests: everything the service's caches and pools do must
-//! be invisible in the results. Each test compares served responses
+//! Differential tests: everything the service's replay tier and batching
+//! do must be invisible in the results. Each test compares served responses
 //! field-by-field (bitwise for `y`) against the naive cold one-shot path.
 
 use hht_serve::{naive_run_stream, Request, Served, Service, ServiceConfig};
@@ -42,7 +42,7 @@ fn mixed_stream() -> Vec<Request> {
         // Exact repeats — replay-tier traffic.
         Request::spmv(1, Arc::clone(&m1), Arc::clone(&v1)),
         Request::spmv(2, Arc::clone(&m2), Arc::clone(&v2)),
-        // Same matrix, new operand — plan-tier traffic.
+        // Same matrix, new operand — re-simulated cold.
         Request::spmv(0, Arc::clone(&m2), Arc::new(generate::random_dense_vector(64, 4))),
         Request::spmspv_v1(1, m3, Arc::new(generate::random_sparse_vector(96, 0.6, 5))),
     ]
@@ -74,7 +74,6 @@ fn served_y_is_bitwise_equal_to_naive_for_every_path() {
     assert_eq!(stats.replay_hits, 0, "{stats:?}");
     assert_eq!(stats.batches, 2, "{stats:?}");
     assert_eq!(stats.batched_jobs, 4, "{stats:?}");
-    assert_eq!(stats.plan_hits, 1, "the v2 repeat shares the SpMSpV plan: {stats:?}");
     assert_eq!(stats.singleton_passes, 4, "{stats:?}");
 }
 
@@ -103,14 +102,14 @@ fn singleton_service_runs_are_fully_bit_identical_to_cold() {
 }
 
 #[test]
-fn warm_pool_and_plan_cache_do_not_change_results_when_replay_is_off() {
-    // Replay off forces re-simulation of repeats — through cached plans
-    // and warm fabrics, which must be invisible.
+fn resimulated_repeats_are_bit_identical_to_cold_when_replay_is_off() {
+    // Replay off forces every repeat to be simulated again; each pass must
+    // reproduce the cold one-shot run exactly.
     let cfg = small_cfg();
     let fab = FabricConfig { tiles: 2, ..FabricConfig::single() };
     let base = mixed_stream();
-    // Stack three copies of the stream so pools and plan tiers are
-    // exercised hard (distinct tenants keep waves multi-request).
+    // Stack three copies of the stream so every job repeats (distinct
+    // tenants keep waves multi-request).
     let requests: Vec<Request> = (0..3)
         .flat_map(|r| {
             base.iter().cloned().map(move |mut q| {
@@ -128,8 +127,6 @@ fn warm_pool_and_plan_cache_do_not_change_results_when_replay_is_off() {
     }
     let stats = svc.stats();
     assert_eq!(stats.replay_hits, 0);
-    assert!(stats.plan_hits > 0, "repeats must reuse plans: {stats:?}");
-    assert!(stats.pool_reuses > 0, "repeat passes must reuse warm fabrics: {stats:?}");
     assert_eq!(stats.singleton_passes, requests.len() as u64);
 }
 
@@ -183,9 +180,6 @@ fn round_robin_admission_is_tenant_fair() {
     let stats = svc.stats();
     // Five waves: tenant 0 advances one per wave; tenant 1 rides wave 1.
     assert_eq!(stats.waves, 5, "{stats:?}");
-    // Tenant 0's repeat matrix means plans hit from the second wave on.
-    assert_eq!(stats.plan_misses, 1, "{stats:?}");
-    assert_eq!(stats.plan_hits, 5, "{stats:?}");
 }
 
 #[test]
@@ -227,9 +221,7 @@ fn spmspv_variants_never_share_replay_entries() {
         assert_run_eq(&format!("request {i}"), &resp.run, cold);
     }
     let stats = svc.stats();
-    // v1 and v2 share one plan (family key) but not results.
-    assert_eq!(stats.plan_misses, 1, "{stats:?}");
-    assert_eq!(stats.plan_hits, 1, "{stats:?}");
+    // v1 and v2 share a matrix and operand but not results.
     assert_eq!(stats.replay_hits, 1, "only the exact v1 repeat replays: {stats:?}");
     assert_eq!(stats.singleton_passes, 2, "{stats:?}");
 }
@@ -248,17 +240,14 @@ fn stats_are_deterministic_across_identical_services() {
     let (s1, r1) = run(1);
     let (s2, r2) = run(1);
     assert_eq!(s1, s2, "same stream, same service config, same counters");
-    // A wider dispatch pool changes pool-lane layout (lanes are part of
-    // the configuration), but every cache/batch/simulation counter is
-    // scheduling-independent: lanes are indexed by unit, not by thread.
+    // Every replay/batch/simulation counter is scheduling-independent:
+    // a wider dispatch pool must not change them.
     let (s4, r4) = run(4);
     let core = |s: &hht_serve::ServeStats| {
         (
             s.requests,
             s.waves,
             s.replay_hits,
-            s.plan_hits,
-            s.plan_misses,
             s.batches,
             s.batched_jobs,
             s.singleton_passes,

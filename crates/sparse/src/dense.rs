@@ -141,10 +141,27 @@ impl DenseVector {
     /// Maximum absolute elementwise difference against `other`.
     ///
     /// Used by tests to compare simulator-produced results with golden
-    /// results under floating-point reassociation.
+    /// results under floating-point reassociation. Bitwise-equal elements
+    /// differ by 0 (so matching NaNs and infinities compare equal); a NaN
+    /// against anything else differs by +inf, so the result is never NaN
+    /// and a NaN can never hide behind the fold.
     pub fn max_abs_diff(&self, other: &DenseVector) -> f32 {
         assert_eq!(self.len(), other.len(), "max_abs_diff on different lengths");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
+        self.data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| {
+                if a.to_bits() == b.to_bits() {
+                    return 0.0;
+                }
+                let d = (a - b).abs();
+                if d.is_nan() {
+                    f32::INFINITY
+                } else {
+                    d
+                }
+            })
+            .fold(0.0f32, f32::max)
     }
 }
 
@@ -223,5 +240,14 @@ mod tests {
         let a = DenseVector::from(vec![1.0, 2.0]);
         let b = DenseVector::from(vec![1.5, 1.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
+        let v = |x: f32| DenseVector::from(vec![1.0, x]);
+        assert_eq!(v(f32::NAN).max_abs_diff(&v(1.0)), f32::INFINITY);
+        assert_eq!(v(1.0).max_abs_diff(&v(f32::NAN)), f32::INFINITY);
+        assert_eq!(v(f32::NAN).max_abs_diff(&v(f32::INFINITY)), f32::INFINITY);
+        // Bitwise-equal pairs differ by nothing, non-finite ones included.
+        assert_eq!(v(f32::NAN).max_abs_diff(&v(f32::NAN)), 0.0);
+        assert_eq!(v(f32::INFINITY).max_abs_diff(&v(f32::INFINITY)), 0.0);
+        assert_eq!(v(f32::INFINITY).max_abs_diff(&v(f32::NEG_INFINITY)), f32::INFINITY);
+        assert_eq!(v(f32::INFINITY).max_abs_diff(&v(1.0)), f32::INFINITY);
     }
 }

@@ -83,18 +83,38 @@ pub type RunStats = SystemStats;
 /// reassociates partial sums.
 const TOL: f32 = 1e-3;
 
+/// Compare a simulated result with its golden vector element by element.
+///
+/// A non-finite element (NaN or ±Inf, on either side) passes only when it
+/// is bitwise equal to its counterpart. Finite elements may differ by
+/// `TOL * scale`, where `scale` is `max(1, max finite |golden|)`: an Inf in
+/// the golden vector therefore never widens the tolerance of its
+/// neighbours. Returns a description of the first failing element.
+fn check_golden(y: &DenseVector, golden: &DenseVector) -> Result<(), String> {
+    if y.len() != golden.len() {
+        return Err(format!("{} elements, golden has {}", y.len(), golden.len()));
+    }
+    let gold = golden.as_slice();
+    let scale = gold.iter().filter(|v| v.is_finite()).fold(1.0f32, |m, v| m.max(v.abs()));
+    for (i, (&a, &b)) in y.as_slice().iter().zip(gold).enumerate() {
+        if a.to_bits() == b.to_bits() {
+            continue;
+        }
+        if !a.is_finite() || !b.is_finite() || (a - b).abs() > TOL * scale {
+            return Err(format!("y[{i}] = {a:e}, golden {b:e} (scale {scale:e})"));
+        }
+    }
+    Ok(())
+}
+
 fn matches_golden(y: &DenseVector, golden: &DenseVector) -> bool {
-    let scale = golden.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-    y.max_abs_diff(golden) <= TOL * scale
+    check_golden(y, golden).is_ok()
 }
 
 fn verify(y: &DenseVector, golden: &DenseVector, what: &str) {
-    let scale = golden.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
-    let diff = y.max_abs_diff(golden);
-    assert!(
-        diff <= TOL * scale,
-        "{what}: simulated result diverges from golden (max abs diff {diff}, scale {scale})"
-    );
+    if let Err(e) = check_golden(y, golden) {
+        panic!("{what}: simulated result diverges from golden: {e}");
+    }
 }
 
 /// Shared driver for the accelerated (HHT) runners: run the system, verify
@@ -180,21 +200,15 @@ fn software_fallback(
 /// the problem image does not fit. The paper runs 512x512 matrices at 10 %
 /// sparsity, whose CSR image alone is ~1.9 MB — their spike memory model
 /// must have been sized up the same way (documented in EXPERIMENTS.md).
+///
+/// Every image starts from `Sram::new` (`vec![0; n]`), whose zeroed pages
+/// stay untouched until the layout writes them; growing a recycled buffer
+/// with `resize` would write every page of a multi-megabyte image.
 fn sram_for(cfg: &SystemConfig, words: usize) -> Sram {
     // base offset + arrays + per-array alignment padding slack
     let needed = 0x100u64 + 4 * words as u64 + 32 * 8;
     let size = (cfg.ram_size as u64).max(needed.next_multiple_of(4096)) as u32;
     Sram::new(size, cfg.ram_word_cycles)
-}
-
-/// [`sram_for`] into a recycled buffer: same size policy, same (all-zero)
-/// contents, so a warm-pool image build is byte-identical to a cold one.
-fn sram_for_in(cfg: &SystemConfig, words: usize, mut buf: Vec<u8>) -> Sram {
-    let needed = 0x100u64 + 4 * words as u64 + 32 * 8;
-    let size = (cfg.ram_size as u64).max(needed.next_multiple_of(4096)) as u32;
-    buf.clear();
-    buf.resize(size as usize, 0);
-    Sram::from_data(buf, cfg.ram_word_cycles)
 }
 
 fn spmv_words(m: &CsrMatrix, v: &DenseVector) -> usize {
@@ -486,61 +500,6 @@ impl FabricRecovery {
     }
 }
 
-/// Where the fabric driver gets (and returns) its fabrics and image
-/// buffers. The default implementation is the cold path: fresh allocations
-/// and [`Fabric::new`] every attempt, which is exactly the seed behaviour.
-/// The serving layer (`hht-serve`) substitutes a warm pool that recycles a
-/// retired fabric's multi-megabyte memory buffer into the next image build
-/// — the determinism suite pins that both paths are bit-identical.
-pub trait FabricProvider {
-    /// A byte buffer for the next image build. May hold stale bytes of any
-    /// length; image builders clear and refill it.
-    fn image_buffer(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Produce a fabric for one attempt over an already-loaded memory.
-    fn acquire(
-        &mut self,
-        cfg: &SystemConfig,
-        fab: FabricConfig,
-        programs: Vec<hht_isa::Program>,
-        mem: SharedMemory,
-    ) -> Fabric {
-        Fabric::new(cfg, fab, programs, mem)
-    }
-
-    /// Take a finished attempt's fabric back (the cold path just drops it).
-    fn release(&mut self, _fabric: Fabric) {}
-}
-
-/// The default [`FabricProvider`]: no reuse, identical to pre-serve
-/// behaviour.
-pub struct ColdStart;
-
-impl FabricProvider for ColdStart {}
-
-/// A reusable precomputed fabric job: the pristine (pre-shard-copy)
-/// problem image, its layout, and the attempt-0 nnz-balanced shard
-/// assignment. This is what the serving layer's content-addressed cache
-/// stores per `(matrix, operand, kernel, tile count)` key: a cache hit
-/// skips SRAM sizing, layout, and shard balancing, and rebuilds the image
-/// by a single `memcpy` into a recycled buffer.
-///
-/// Bit-identity of cached replays holds because the image is captured
-/// *before* [`layout::shard_layouts`] runs: the per-attempt shard
-/// row-pointer copies are placed by the driver at a deterministic bump
-/// address on every attempt, exactly as on the cold path.
-#[derive(Debug, Clone)]
-pub struct FabricPlan {
-    /// The pristine image bytes (full SRAM size, shard area still zero).
-    pub image: Vec<u8>,
-    /// Layout of the full problem inside `image`.
-    pub layout: layout::ProblemLayout,
-    /// Attempt-0 row-range assignment for the planned tile count.
-    pub shards: Vec<(usize, usize)>,
-}
-
 /// Sum per-tile host scheduler counters across attempts. Exhaustive
 /// destructuring: a new counter breaks this merge at compile time instead
 /// of being silently dropped from multi-attempt totals.
@@ -617,12 +576,10 @@ fn run_fabric(
     fab: FabricConfig,
     what: &str,
     golden: &DenseVector,
-    build_image: &dyn Fn(Vec<u8>) -> (Sram, layout::ProblemLayout),
+    build_image: &dyn Fn() -> (Sram, layout::ProblemLayout),
     m: &CsrMatrix,
     emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
     plan: Option<FaultPlan>,
-    shards_hint: Option<&[(usize, usize)]>,
-    provider: &mut dyn FabricProvider,
     baseline: &dyn Fn(&SystemConfig) -> RunOutput,
 ) -> FabricRunOutput {
     let n0 = fab.tiles;
@@ -659,18 +616,11 @@ fn run_fabric(
             fallback_reason = Some("retry budget exhausted".into());
             break;
         }
-        // The attempt-0 full-width assignment may come precomputed from a
-        // cached plan; `assign_shards` over the initial single pending
-        // range is deterministic, so the hint is the same split it would
-        // produce (the determinism suite pins this end to end).
-        let (assigned, taken) = match shards_hint {
-            Some(h) if attempt == 0 && survivors.len() == n0 => (h.to_vec(), pending.len()),
-            _ => assign_shards(m, &pending, survivors.len()),
-        };
+        let (assigned, taken) = assign_shards(m, &pending, survivors.len());
         // Fresh image per attempt: failover restarts shards from clean
         // state (a fault may have corrupted shared arrays), and the bump
         // allocator re-places the rebased row-pointer copies.
-        let (mut sram, full) = build_image(provider.image_buffer());
+        let (mut sram, full) = build_image();
         let layouts = layout::shard_layouts(&mut sram, &full, m, &assigned);
         let programs = layouts.iter().map(emit).collect();
         let fab_a = FabricConfig { tiles: survivors.len(), banks: fab.banks, arb: fab.arb };
@@ -682,7 +632,7 @@ fn run_fabric(
             attempt_cfg.fault.seed = 0;
             attempt_cfg.trace.events = false;
         }
-        let mut fabric = provider.acquire(&attempt_cfg, fab_a, programs, mem);
+        let mut fabric = Fabric::new(&attempt_cfg, fab_a, programs, mem);
         if attempt == 0 {
             if let Some(p) = plan.take() {
                 fabric.set_fault_plan(p);
@@ -767,7 +717,6 @@ fn run_fabric(
                 y[r0..r1].copy_from_slice(out.as_slice());
             }
         }
-        provider.release(fabric);
         wall += max_backoff;
         backoff_total += max_backoff;
         attempts.push(FabricAttempt {
@@ -895,65 +844,14 @@ fn run_spmv_fabric_inner(
         fab,
         "spmv_fabric",
         &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmv_words(m, v) + shard_words(m, fab.tiles), buf);
+        &|| {
+            let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
             let l = layout::layout_spmv(&mut sram, m, v);
             (sram, l)
         },
         m,
         &|sl| kernels::spmv_hht(sl, vectorized),
         plan,
-        None,
-        &mut ColdStart,
-        &|cfg| run_spmv_baseline(cfg, m, v),
-    )
-}
-
-/// Precompute the reusable SpMV fabric job for `fab.tiles` tiles: image,
-/// layout and attempt-0 shards (see [`FabricPlan`]).
-pub fn plan_spmv_fabric(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-) -> FabricPlan {
-    let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
-    let layout = layout::layout_spmv(&mut sram, m, v);
-    let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    FabricPlan { image: sram.into_data(), layout, shards }
-}
-
-/// Run fabric SpMV from a precomputed [`FabricPlan`] through a
-/// [`FabricProvider`]. With `&mut ColdStart` and a fresh plan this is
-/// bit-identical to [`run_spmv_fabric`]; the serving layer passes its warm
-/// pool and cached plans instead. The image is rebuilt from the plan by
-/// `memcpy` each attempt, so failover re-sharding behaves exactly as on
-/// the cold path.
-pub fn run_spmv_fabric_planned(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: &FabricPlan,
-    provider: &mut dyn FabricProvider,
-) -> FabricRunOutput {
-    let gold = golden::spmv(m, v).expect("shapes validated by layout");
-    let vectorized = cfg.core.vlen > 1;
-    run_fabric(
-        cfg,
-        fab,
-        "spmv_fabric",
-        &gold,
-        &|mut buf| {
-            buf.clear();
-            buf.extend_from_slice(&plan.image);
-            (Sram::from_data(buf, cfg.ram_word_cycles), plan.layout)
-        },
-        m,
-        &|sl| kernels::spmv_hht(sl, vectorized),
-        None,
-        Some(&plan.shards),
-        provider,
         &|cfg| run_spmv_baseline(cfg, m, v),
     )
 }
@@ -966,71 +864,7 @@ pub fn run_spmspv_fabric_v1(
     m: &CsrMatrix,
     x: &SparseVector,
 ) -> FabricRunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_fabric(
-        cfg,
-        fab,
-        "spmspv_fabric_v1",
-        &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles), buf);
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            (sram, l)
-        },
-        m,
-        &kernels::spmspv_hht_v1,
-        None,
-        None,
-        &mut ColdStart,
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
-}
-
-/// Precompute the reusable SpMSpV fabric job (shared by both kernel
-/// variants: they run over the same image and layout).
-pub fn plan_spmspv_fabric(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-) -> FabricPlan {
-    let mut sram = sram_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
-    let layout = layout::layout_spmspv(&mut sram, m, x);
-    let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    FabricPlan { image: sram.into_data(), layout, shards }
-}
-
-/// Run fabric SpMSpV (either variant) from a precomputed [`FabricPlan`]
-/// through a [`FabricProvider`] (see [`run_spmv_fabric_planned`]).
-pub fn run_spmspv_fabric_planned(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-    variant2: bool,
-    plan: &FabricPlan,
-    provider: &mut dyn FabricProvider,
-) -> FabricRunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    let emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program =
-        if variant2 { &kernels::spmspv_hht_v2 } else { &kernels::spmspv_hht_v1 };
-    run_fabric(
-        cfg,
-        fab,
-        if variant2 { "spmspv_fabric_v2" } else { "spmspv_fabric_v1" },
-        &gold,
-        &|mut buf| {
-            buf.clear();
-            buf.extend_from_slice(&plan.image);
-            (Sram::from_data(buf, cfg.ram_word_cycles), plan.layout)
-        },
-        m,
-        emit,
-        None,
-        Some(&plan.shards),
-        provider,
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
+    run_spmspv_fabric(cfg, fab, m, x, "spmspv_fabric_v1", &kernels::spmspv_hht_v1)
 }
 
 /// Run HHT-assisted SpMSpV (variant 2: intersection in the HHT) sharded
@@ -1041,22 +875,33 @@ pub fn run_spmspv_fabric_v2(
     m: &CsrMatrix,
     x: &SparseVector,
 ) -> FabricRunOutput {
+    run_spmspv_fabric(cfg, fab, m, x, "spmspv_fabric_v2", &kernels::spmspv_hht_v2)
+}
+
+/// Both SpMSpV fabric variants run over the same image and layout; only
+/// the emitted kernel differs.
+fn run_spmspv_fabric(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    m: &CsrMatrix,
+    x: &SparseVector,
+    what: &str,
+    emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
+) -> FabricRunOutput {
     let gold = golden::spmspv(m, x).expect("shapes validated");
     run_fabric(
         cfg,
         fab,
-        "spmspv_fabric_v2",
+        what,
         &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles), buf);
+        &|| {
+            let mut sram = sram_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
             let l = layout::layout_spmspv(&mut sram, m, x);
             (sram, l)
         },
         m,
-        &kernels::spmspv_hht_v2,
+        emit,
         None,
-        None,
-        &mut ColdStart,
         &|cfg| run_spmspv_baseline(cfg, m, x),
     )
 }
@@ -1065,6 +910,90 @@ pub fn run_spmspv_fabric_v2(
 mod tests {
     use super::*;
     use hht_sparse::generate;
+    use proptest::prelude::*;
+
+    #[test]
+    fn golden_check_rejects_nan_and_is_not_widened_by_inf() {
+        let v = |xs: &[f32]| DenseVector::from(xs.to_vec());
+        // A NaN result never passes against a finite golden value.
+        assert!(!matches_golden(&v(&[f32::NAN, 2.0]), &v(&[1.0, 2.0])));
+        // One Inf in the golden vector leaves the finite elements' scale
+        // at max(1, max finite |golden|) = 2, so a wrong neighbour fails.
+        assert!(!matches_golden(&v(&[f32::INFINITY, 9.0]), &v(&[f32::INFINITY, 2.0])));
+        assert!(matches_golden(&v(&[f32::INFINITY, 2.001]), &v(&[f32::INFINITY, 2.0])));
+        // Infinities must match exactly, sign included.
+        assert!(!matches_golden(&v(&[f32::NEG_INFINITY]), &v(&[f32::INFINITY])));
+        assert!(!matches_golden(&v(&[f32::MAX]), &v(&[f32::INFINITY])));
+    }
+
+    /// One non-finite or subnormal value to plant into a vector.
+    fn special() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            Just(f32::NAN),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            (1u32..0x007f_ffff).prop_map(f32::from_bits),
+            (1u32..0x007f_ffff).prop_map(|b| -f32::from_bits(b)),
+        ]
+    }
+
+    proptest! {
+        /// Plant NaN, ±Inf and subnormal values into either side (or both
+        /// sides) of a near-equal pair. Comparing a vector with itself
+        /// always passes; a non-finite element passes only against its own
+        /// bit pattern; `max_abs_diff` is never NaN; only finite golden
+        /// values set the tolerance scale; and on all-finite data the
+        /// verdict is the plain `max |y - golden| <= TOL * max(1, max
+        /// |golden|)`.
+        #[test]
+        fn golden_check_handles_special_values(
+            base in proptest::collection::vec(-4_000i32..4_000, 1..12),
+            noise in proptest::collection::vec(-4_000i32..4_000, 12),
+            plants in proptest::collection::vec((0usize..12, 0u8..3, special()), 0..4),
+        ) {
+            // Golden values in ±4, results off by up to ±4e-3: both sides of
+            // the 1e-3 relative tolerance occur.
+            let mut gold: Vec<f32> = base.iter().map(|&b| b as f32 / 1e3).collect();
+            let mut y: Vec<f32> =
+                gold.iter().zip(&noise).map(|(g, &n)| g + n as f32 / 1e6).collect();
+            for &(i, side, x) in &plants {
+                let i = i % y.len();
+                match side {
+                    0 => y[i] = x,
+                    1 => gold[i] = x,
+                    _ => {
+                        y[i] = x;
+                        gold[i] = x;
+                    }
+                }
+            }
+            let (yv, gv) = (DenseVector::from(y.clone()), DenseVector::from(gold.clone()));
+            prop_assert!(matches_golden(&gv, &gv));
+            prop_assert!(matches_golden(&yv, &yv));
+            prop_assert_eq!(gv.max_abs_diff(&gv), 0.0);
+            let diff = yv.max_abs_diff(&gv);
+            prop_assert!(!diff.is_nan());
+            let mismatched_special = y
+                .iter()
+                .zip(&gold)
+                .any(|(a, b)| a.to_bits() != b.to_bits() && !(a.is_finite() && b.is_finite()));
+            if mismatched_special {
+                prop_assert!(!matches_golden(&yv, &gv));
+                prop_assert_eq!(diff, f32::INFINITY);
+            }
+            let finite_scale =
+                gold.iter().filter(|v| v.is_finite()).fold(1.0f32, |m, v| m.max(v.abs()));
+            let expected = y.iter().zip(&gold).all(|(a, b)| {
+                a.to_bits() == b.to_bits()
+                    || (a.is_finite() && b.is_finite() && (a - b).abs() <= TOL * finite_scale)
+            });
+            prop_assert_eq!(matches_golden(&yv, &gv), expected);
+            if y.iter().chain(&gold).all(|v| v.is_finite()) {
+                let scale = gold.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+                prop_assert_eq!(matches_golden(&yv, &gv), diff <= TOL * scale);
+            }
+        }
+    }
 
     #[test]
     fn spmv_baseline_and_hht_agree_with_golden() {

@@ -708,12 +708,11 @@ fn serve_pair(kernel: usize, n: usize, s: f64, seed: u64) -> Vec<hht::serve::Req
 }
 
 /// The differential property behind `hht-serve`: a request served through
-/// the content-addressed caches and the warm fabric pool must be
-/// bit-identical — output words, every counter of the fabric stats, every
-/// traced event, the scheduler accounting and the recovery report — to the
-/// naive cold one-shot run of the same job. Covered paths: cold service
-/// run (fresh plan + fresh fabric through the provider), replay-tier hit,
-/// and plan-cache hit re-simulated on a warm pooled fabric (replay off).
+/// the service must be bit-identical — output words, every counter of the
+/// fabric stats, every traced event, the scheduler accounting and the
+/// recovery report — to the naive cold one-shot run of the same job.
+/// Covered paths: cold service pass, replay-tier hit, and a repeat
+/// re-simulated cold (replay off).
 fn assert_serve_matches_cold(
     base: SystemConfig,
     kernel: usize,
@@ -730,8 +729,7 @@ fn assert_serve_matches_cold(
     let shapes = [
         // Replay on: the repeat is served from the replay tier.
         ServiceConfig { batching: false, ..ServiceConfig::default() },
-        // Replay off: the repeat re-simulates through the cached plan and
-        // the warmed fabric pool.
+        // Replay off: the repeat is simulated again from a fresh image.
         ServiceConfig { batching: false, replay: false, ..ServiceConfig::default() },
     ];
     for scfg in shapes {
@@ -755,7 +753,7 @@ fn assert_serve_matches_cold(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serving through warm fabrics and content-addressed caches is
+    /// Serving through the replay tier and re-simulated repeats is
     /// observationally identical to cold one-shot runs across kernels ×
     /// tile counts × both fabric schedulers, with event tracing on.
     #[test]
@@ -774,8 +772,8 @@ proptest! {
     }
 
     /// The same property under seeded fault injection with recovery on:
-    /// cached plans re-derive the identical fault schedule (the image the
-    /// seed hashes over is byte-identical), so detections, retries and
+    /// every simulated pass builds a byte-identical image, so the seed
+    /// derives the identical fault schedule and detections, retries and
     /// failovers replay exactly.
     #[test]
     fn serving_is_bit_identical_to_cold_runs_under_faults(
