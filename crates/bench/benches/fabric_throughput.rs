@@ -4,23 +4,23 @@
 //! Each benchmark runs one fabric SpMV to completion and sets criterion's
 //! `Throughput::Elements` to the simulated wall-cycle count, so `elem/s`
 //! reads directly as *simulated cycles per host second*. The grid crosses
-//! N in {4, 8, 16} tiles x {event queue, lock-step, per-cycle} at two
-//! memory speeds:
+//! N in {4, 8, 16} tiles x {event queue, per-cycle} at two memory
+//! speeds:
 //!
 //! - `sram1` — the paper's single-cycle SRAM. Idle spans are short, so
-//!   the event queue mostly measures its own heap overhead here.
+//!   the event queue mostly measures its own bookkeeping overhead here.
 //! - `slow64` — a 64-cycle word access. Parked tiles dominate the
 //!   schedule, and the event queue's per-tile parking pays off: the
 //!   16-tile run is the headline (>= 10x over the per-cycle loop, the
 //!   ratio `BENCH_core.json` gates).
 //!
-//! The three schedulers produce bit-identical simulated results (enforced
+//! The two schedulers produce bit-identical simulated results (enforced
 //! by `tests/determinism.rs`), so elem/s ratios are exactly wall-clock
 //! ratios.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hht_sparse::generate;
-use hht_system::config::SystemConfig;
+use hht_system::config::{Scheduler, SystemConfig};
 use hht_system::{runner, FabricConfig};
 
 const N: usize = 192;
@@ -34,11 +34,9 @@ fn bench_fabric_throughput(c: &mut Criterion) {
         let base = SystemConfig::paper_default().with_ram_word_cycles(word_cycles);
         for tiles in [4usize, 8, 16] {
             let fab = FabricConfig::scaled(tiles);
-            for (mode, cfg) in [
-                ("event_queue", base),
-                ("lockstep", base.with_event_queue(false)),
-                ("percycle", base.with_cycle_skip(false)),
-            ] {
+            for (mode, cfg) in
+                [("event_queue", base), ("percycle", base.with_scheduler(Scheduler::PerCycle))]
+            {
                 let cycles = runner::run_spmv_fabric(&cfg, fab, &m, &v).stats.cycles;
                 group.throughput(Throughput::Elements(cycles));
                 group.bench_with_input(

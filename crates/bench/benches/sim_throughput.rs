@@ -20,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hht_sparse::generate;
-use hht_system::config::SystemConfig;
+use hht_system::config::{Scheduler, SystemConfig};
 use hht_system::runner;
 
 const N: usize = 192;
@@ -32,11 +32,12 @@ fn bench_sim_throughput(c: &mut Criterion) {
         for sparsity in [0.5, 0.9] {
             let m = generate::random_csr(N, N, sparsity, 21);
             let v = generate::random_dense_vector(N, 22);
-            for skip in [true, false] {
+            for (mode, scheduler) in
+                [("skip", Scheduler::EventQueue), ("legacy", Scheduler::PerCycle)]
+            {
                 let cfg = SystemConfig::paper_default()
                     .with_ram_word_cycles(word_cycles)
-                    .with_cycle_skip(skip);
-                let mode = if skip { "skip" } else { "legacy" };
+                    .with_scheduler(scheduler);
                 let param = format!("{mem}/s{sparsity}");
                 let base_cycles = runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles;
                 let hht_cycles = runner::run_spmv_hht(&cfg, &m, &v).stats.cycles;

@@ -276,7 +276,20 @@ fn bench_observatory(
         println!("  {}", entry.host.render());
         report.configs.push(entry);
     }
-    report.fabric.push(fabric_throughput_entry());
+    // Same-machine scheduler ratios: the paper's own 1-cycle memory at 4
+    // and 16 tiles, where the event queue runs at about per-cycle speed
+    // (the floor catches a return of the eager-probing cost, which ran it
+    // at 0.5-0.8x), and the 64-cycle slow-memory corner where parking
+    // dominates.
+    report.fabric.push(fabric_throughput_entry("fabric_paper_4t", 4, 1, (512, 0.9), 0.85));
+    report.fabric.push(fabric_throughput_entry("fabric_paper_16t", 16, 1, (512, 0.9), 0.85));
+    report.fabric.push(fabric_throughput_entry(
+        "fabric_slow_memory_16t",
+        16,
+        64,
+        (256, 0.05),
+        10.0,
+    ));
     report.failover.push(failover_entry());
     if let Some(path) = &bench_out {
         write_or_exit(path, &report.to_json());
@@ -307,55 +320,76 @@ fn bench_observatory(
     }
 }
 
-/// The fabric scheduler-throughput entry: one fixed 16-tile slow-memory
-/// SpMV timed under all three schedulers (per-cycle lock-step, lock-step
-/// with global fast-forward, event queue). The workload is pinned —
-/// independent of `--n` — so `wall_cycles` is a deterministic gate; the
-/// host speedups are same-machine ratios gated against the absolute
+/// One fabric scheduler-throughput entry: a pinned SpMV (`n`² at the given
+/// sparsity, fixed seeds — independent of `--n`) on `tiles` tiles with
+/// `ram_word_cycles`-cycle words, `Fabric::run` timed under the event queue
+/// and the per-cycle loop (image build excluded). `wall_cycles` is a
+/// deterministic gate; the host speedup is a same-machine ratio — the
+/// median of three interleaved pairs — gated against the absolute
 /// `min_host_speedup` floor carried in the committed baseline.
-fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
-    use hht_system::FabricConfig;
+fn fabric_throughput_entry(
+    name: &str,
+    tiles: usize,
+    ram_word_cycles: u64,
+    (n, sparsity): (usize, f64),
+    min_host_speedup: f64,
+) -> hht_prof::FabricBenchConfig {
+    use hht_system::{FabricConfig, Scheduler};
     use std::time::Instant;
-    let tiles = 16;
-    let ram_word_cycles = 64;
     let fab = FabricConfig::scaled(tiles);
     let cfg = SystemConfig::paper_default().with_ram_word_cycles(ram_word_cycles);
-    let m = hht_sparse::generate::random_csr(256, 256, 0.05, 42);
-    let v = hht_sparse::generate::random_dense_vector(256, 7);
-    let run = |c: &SystemConfig| {
+    let m = hht_sparse::generate::random_csr(n, n, sparsity, 42);
+    let v = hht_sparse::generate::random_dense_vector(n, 7);
+    let run = |scheduler| {
+        let c = cfg.with_scheduler(scheduler);
+        let (mut fabric, _) = hht_system::runner::build_spmv_fabric(&c, fab, &m, &v);
         let t0 = Instant::now();
-        let out = hht_system::runner::run_spmv_fabric(c, fab, &m, &v);
-        (out, t0.elapsed().as_secs_f64())
+        let stats = fabric.run().expect("the pinned fabric SpMV completes");
+        let secs = t0.elapsed().as_secs_f64();
+        (stats, fabric.tile_sched_stats().to_vec(), secs)
     };
-    let (eq, eq_secs) = run(&cfg);
-    let (ls, ls_secs) = run(&cfg.with_event_queue(false));
-    let (pc, pc_secs) = run(&cfg.with_cycle_skip(false));
-    assert_eq!(eq.stats, ls.stats, "event queue must be bit-identical to lock-step");
-    assert_eq!(eq.stats, pc.stats, "event queue must be bit-identical to per-cycle");
-    let wall = eq.stats.cycles;
+    let mut pairs = Vec::new();
+    let mut eq = None;
+    for _ in 0..3 {
+        let (eq_stats, eq_sched, eq_secs) = run(Scheduler::EventQueue);
+        let (pc_stats, _, pc_secs) = run(Scheduler::PerCycle);
+        assert_eq!(eq_stats, pc_stats, "event queue must be bit-identical to per-cycle");
+        pairs.push((eq_secs, pc_secs));
+        eq = Some((eq_stats, eq_sched));
+    }
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (eq_secs, pc_secs) = pairs[1];
+    let (eq, eq_sched) = eq.expect("three timed pairs");
+    let wall = eq.cycles;
     let mcs = |secs: f64| wall as f64 / secs / 1e6;
     let entry = hht_prof::FabricBenchConfig {
-        name: "fabric_slow_memory_16t".to_string(),
+        name: name.to_string(),
         tiles,
         banks: fab.banks,
         ram_word_cycles,
         wall_cycles: wall,
+        pops: eq_sched.iter().map(|t| t.pops).sum(),
+        probes: eq_sched.iter().map(|t| t.probes).sum(),
+        parks: eq_sched.iter().map(|t| t.parks).sum(),
         eq_mcycles_per_sec: mcs(eq_secs),
-        lockstep_mcycles_per_sec: mcs(ls_secs),
         percycle_mcycles_per_sec: mcs(pc_secs),
-        host_speedup_vs_lockstep: ls_secs / eq_secs,
         host_speedup_vs_percycle: pc_secs / eq_secs,
-        min_host_speedup: 10.0,
+        min_host_speedup,
     };
     println!(
-        "fabric {} ({} tiles, {} banks, {}-cycle words): {} wall cycles",
-        entry.name, entry.tiles, entry.banks, entry.ram_word_cycles, entry.wall_cycles
+        "fabric {} ({} tiles, {} banks, {}-cycle words): {} wall cycles, {} pops, {} probes, {} parks",
+        entry.name,
+        entry.tiles,
+        entry.banks,
+        entry.ram_word_cycles,
+        entry.wall_cycles,
+        entry.pops,
+        entry.probes,
+        entry.parks,
     );
     println!(
-        "  event queue {:.1} Mc/s | lock-step {:.1} Mc/s ({:.2}x) | per-cycle {:.1} Mc/s ({:.2}x, floor {:.2}x)",
+        "  event queue {:.1} Mc/s | per-cycle {:.1} Mc/s ({:.2}x, floor {:.2}x)",
         entry.eq_mcycles_per_sec,
-        entry.lockstep_mcycles_per_sec,
-        entry.host_speedup_vs_lockstep,
         entry.percycle_mcycles_per_sec,
         entry.host_speedup_vs_percycle,
         entry.min_host_speedup,
@@ -1271,9 +1305,10 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
             .iter()
             .map(|ts| {
                 format!(
-                    "{{\"pops\":{},\"stepped_cycles\":{},\"skipped_cycles\":{},\
+                    "{{\"pops\":{},\"probes\":{},\"stepped_cycles\":{},\"skipped_cycles\":{},\
                      \"parks\":{},\"mean_park\":{:.3},\"parked_frac\":{:.6}}}",
                     ts.pops,
+                    ts.probes,
                     ts.stepped_cycles,
                     ts.skipped_cycles,
                     ts.parks,

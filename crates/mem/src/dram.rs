@@ -405,6 +405,14 @@ impl FabricMemory {
         self.shared().word_cycles()
     }
 
+    /// True when a grant or a refusal can hold a requester for more than
+    /// one cycle: DRAM-class timing (row latency, window, budget) or
+    /// multi-cycle words. On flat 1-cycle memory every response lands on
+    /// the next cycle and every busy bank frees by then.
+    pub fn multi_cycle(&self) -> bool {
+        self.word_cycles() > 1 || self.dram().is_some_and(|d| !d.config().is_flat())
+    }
+
     /// One tile's port statistics.
     pub fn stats_for(&self, tile: usize) -> SramStats {
         self.shared().stats_for(tile)
@@ -506,33 +514,60 @@ impl FabricMemory {
 /// One tile's view of a [`FabricMemory`]: the `&mut dyn MemoryPort` the
 /// tile's core and HHT hold for the current cycle (successor of the
 /// Shared-only `TilePort`).
+///
+/// The port also remembers how its traffic went — the latest response
+/// cycle it granted ([`FabricPort::lands_at`]) and whether it refused a
+/// request ([`FabricPort::refused`]) — so a scheduler can tell after a
+/// step whether the tile may have become parkable on memory.
 pub struct FabricPort<'a> {
     mem: &'a mut FabricMemory,
     tile: usize,
+    lands_at: u64,
+    refused: bool,
 }
 
 impl<'a> FabricPort<'a> {
     /// Borrow `mem` as tile `tile`'s port.
     pub fn new(mem: &'a mut FabricMemory, tile: usize) -> Self {
-        FabricPort { mem, tile }
+        FabricPort { mem, tile, lands_at: 0, refused: false }
+    }
+
+    /// Latest response cycle of the requests this port granted (0 when it
+    /// granted none).
+    pub fn lands_at(&self) -> u64 {
+        self.lands_at
+    }
+
+    /// True when this port refused at least one request.
+    pub fn refused(&self) -> bool {
+        self.refused
+    }
+
+    fn issue(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
+        let issue = self.mem.request_burst_for(self.tile, now, addr, who, words);
+        match issue {
+            MemIssue::Granted { data_at, .. } => self.lands_at = self.lands_at.max(data_at),
+            MemIssue::Refused(_) => self.refused = true,
+        }
+        issue
     }
 }
 
 impl MemoryPort for FabricPort<'_> {
     fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-        self.mem.request_burst_for(self.tile, now, addr, who, 1).data_at()
+        self.issue(now, addr, who, 1).data_at()
     }
 
     fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64> {
-        self.mem.request_burst_for(self.tile, now, addr, who, words).data_at()
+        self.issue(now, addr, who, words).data_at()
     }
 
     fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
-        self.mem.request_burst_for(self.tile, now, addr, who, 1)
+        self.issue(now, addr, who, 1)
     }
 
     fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
-        self.mem.request_burst_for(self.tile, now, addr, who, words)
+        self.issue(now, addr, who, words)
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {

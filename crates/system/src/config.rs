@@ -70,6 +70,20 @@ impl Default for TraceConfig {
     }
 }
 
+/// How a run advances simulated time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Scheduler {
+    /// Step every live component on every cycle: the plain loop, kept as
+    /// the differential oracle every other schedule is tested against.
+    PerCycle,
+    /// Discrete-event scheduling: each fabric tile steps only on cycles
+    /// where it may act and is parked — with the skipped span's per-cycle
+    /// charges replayed in bulk — wherever it is provably inert, so a
+    /// parked tile costs no host work. [`crate::legacy::LegacySystem`]
+    /// reads this as its own global fast-forward.
+    EventQueue,
+}
+
 /// Table 1 of the paper, as a value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
@@ -87,23 +101,11 @@ pub struct SystemConfig {
     /// Observability sinks (event streams, instruction trace). Disabled by
     /// default; never affects simulated cycle counts.
     pub trace: TraceConfig,
-    /// Event-driven cycle skipping: `System::run` fast-forwards over spans
-    /// where the core, the HHT and the SRAM port are all provably inert,
-    /// charging the skipped cycles to the same counters the per-cycle loop
-    /// would have recorded. Simulated cycle counts are bit-identical either
-    /// way; turning this off keeps the legacy per-cycle loop for
-    /// differential testing.
-    pub cycle_skip: bool,
-    /// Discrete-event fabric scheduling: each tile advances independently
-    /// to its own next wake through a per-tile event queue instead of the
-    /// lock-step loop, so one busy tile no longer forces per-cycle host
-    /// work for every parked neighbour. Requires `cycle_skip` (the queue
-    /// *is* per-tile cycle skipping); `with_cycle_skip(false)` therefore
-    /// still selects the pure per-cycle oracle. Simulated cycle counts,
-    /// statistics and event streams are bit-identical across all three
-    /// scheduler modes (see `tests/determinism.rs`); turning this off
-    /// keeps the lock-step scheduler as the differential oracle.
-    pub event_queue: bool,
+    /// How simulated time advances. Simulated cycle counts, statistics and
+    /// event streams are bit-identical under both schedulers (see
+    /// `tests/determinism.rs`); only the host-side scheduler accounting
+    /// differs.
+    pub scheduler: Scheduler,
     /// Seed-driven fault injection (`seed == 0`, the default, disables it).
     /// [`crate::system::System::new`] derives the cycle-exact
     /// [`hht_fault::FaultPlan`] from this.
@@ -148,8 +150,7 @@ impl SystemConfig {
             ram_word_cycles: 1,
             clock_hz: 1.1e9,
             trace: TraceConfig::disabled(),
-            cycle_skip: true,
-            event_queue: true,
+            scheduler: Scheduler::EventQueue,
             fault: FaultConfig::default(),
             recovery: false,
             tile_retries: 2,
@@ -197,18 +198,10 @@ impl SystemConfig {
         self
     }
 
-    /// Same configuration with cycle skipping on or off (off = the legacy
-    /// per-cycle loop, for differential testing).
-    pub fn with_cycle_skip(mut self, on: bool) -> Self {
-        self.cycle_skip = on;
-        self
-    }
-
-    /// Same configuration with the discrete-event fabric scheduler on or
-    /// off (off = the lock-step scheduler, the event queue's differential
-    /// oracle).
-    pub fn with_event_queue(mut self, on: bool) -> Self {
-        self.event_queue = on;
+    /// Same configuration under the given scheduler
+    /// ([`Scheduler::PerCycle`] is the differential oracle).
+    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
+        self.scheduler = scheduler;
         self
     }
 

@@ -14,10 +14,10 @@
 //!   [`ArbPolicy::FixedPriority`] arbiter always starts at tile 0 (exactly
 //!   the legacy order); [`ArbPolicy::RoundRobin`] rotates the starting
 //!   tile each cycle so no tile persistently wins bank conflicts.
-//! - **Skipping is replay, not estimation.** A span is skipped only when
-//!   *every* live tile is provably inert over it, and the span's per-cycle
+//! - **Skipping is replay, not estimation.** A tile is parked over a span
+//!   only when it is provably inert over it, and the span's per-cycle
 //!   charges (stall counters, arbitration losses, conflict events) are
-//!   replayed in bulk through the same hooks the single-tile scheduler
+//!   replayed in bulk through the same hooks the single-tile fast-forward
 //!   uses. Cycle counts, statistics and event streams are bit-identical to
 //!   the per-cycle loop; with one tile and one bank they are bit-identical
 //!   to [`LegacySystem`](crate::legacy::LegacySystem) (proved in
@@ -28,20 +28,20 @@
 //!   the scheduler bounds each wait by the exact bank's free cycle — a
 //!   busy bank's `free_at` cannot move while no tile steps, because only
 //!   a grant (which requires the bank to be free) reprograms it.
-//! - **Parking is per-tile under the event queue.** With
-//!   [`SystemConfig::event_queue`] on (the default), a min-heap of
-//!   `(wake, tile)` entries advances each tile independently to its own
-//!   next wake instead of the lock-step outer loop, so one busy tile no
-//!   longer forces per-cycle host work for every parked neighbour. The
-//!   lock-step scheduler stays available (`with_event_queue(false)`) as
-//!   the differential oracle; both are bit-identical in everything
-//!   simulated (see `Fabric::run_event_queue` for the argument).
+//! - **Two schedulers, one timeline.** [`Scheduler::EventQueue`] (the
+//!   default) keeps tiles that must step on a due list and parked tiles in
+//!   a wake-ordered heap, so one busy tile no longer forces per-cycle host
+//!   work for every parked neighbour, and it asks a tile for its wake
+//!   bound only when a park is likely (see `Fabric::run_event_queue` for
+//!   the probe policy and the exactness argument).
+//!   [`Scheduler::PerCycle`] steps every live tile on every cycle and is
+//!   the differential oracle.
 //! - **Frozen tiles stay frozen.** A tile whose core halted is never
 //!   stepped again (its HHT included), mirroring the single-tile run loop
 //!   which exits outright — so per-tile statistics read exactly as if the
 //!   tile had run alone until its own completion cycle.
 
-use crate::config::SystemConfig;
+use crate::config::{Scheduler, SystemConfig};
 use crate::system::{FaultSummary, SystemStats};
 use hht_accel::{Hht, HhtStats, Wake};
 use hht_fault::{FaultKind, FaultPlan};
@@ -103,23 +103,24 @@ impl Default for FabricConfig {
 
 /// Host-side scheduler accounting: how the run's simulated cycles were
 /// advanced. Deliberately *not* part of [`FabricStats`] — the split between
-/// stepped and skipped cycles depends on the scheduler mode, while
+/// stepped and skipped cycles depends on the scheduler, while
 /// [`FabricStats`] must stay bit-identical between the per-cycle and
-/// cycle-skipping schedulers (the determinism tests compare it directly).
+/// event-queue schedulers (the determinism tests compare it directly).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedStats {
-    /// Simulated cycles advanced by stepping every component.
+    /// Simulated cycles on which at least one tile stepped.
     pub stepped_cycles: u64,
-    /// Simulated cycles advanced by bulk replay (fast-forward spans).
+    /// Simulated cycles the clock jumped over because every tile was
+    /// parked or halted.
     pub skipped_cycles: u64,
-    /// Number of fast-forward spans taken.
+    /// Number of clock jumps.
     pub skip_spans: u64,
 }
 
 impl SchedStats {
-    /// Fraction of simulated cycles the scheduler fast-forwarded over
-    /// (0.0 under the per-cycle scheduler, approaches 1.0 when the machine
-    /// spends most of its time provably inert).
+    /// Fraction of simulated cycles the clock jumped over (0.0 under the
+    /// per-cycle scheduler, approaches 1.0 when the machine spends most
+    /// of its time provably inert).
     pub fn skip_efficiency(&self) -> f64 {
         let total = self.stepped_cycles + self.skipped_cycles;
         if total == 0 {
@@ -139,22 +140,23 @@ impl SchedStats {
 
 /// Host-side per-tile scheduler accounting. Like [`SchedStats`], this is
 /// deliberately *not* part of [`FabricStats`]: the split depends on the
-/// scheduler mode, while simulated statistics are mode-invariant.
+/// scheduler, while simulated statistics are scheduler-invariant.
 ///
 /// Under the event-queue scheduler `stepped_cycles + skipped_cycles` is the
-/// tile's own active life (from cycle 0 to its halt); under the lock-step
-/// scheduler `skipped_cycles` counts the global fast-forward spans the tile
-/// lived through.
+/// tile's own active life (from cycle 0 to its halt); under the per-cycle
+/// scheduler every live cycle is stepped and the other counters stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TileSchedStats {
-    /// Times this tile was popped from the event queue (0 under the
-    /// lock-step scheduler, which has no queue).
+    /// Times the event queue took this tile off its due list to step it
+    /// (0 under the per-cycle scheduler, which has no queue).
     pub pops: u64,
+    /// Times the event queue asked this tile for its wake bound.
+    pub probes: u64,
     /// Cycles this tile was genuinely stepped.
     pub stepped_cycles: u64,
     /// Cycles this tile sat parked (advanced by bulk replay).
     pub skipped_cycles: u64,
-    /// Number of parked spans (fast-forward spans under lock-step).
+    /// Number of parked spans.
     pub parks: u64,
 }
 
@@ -195,6 +197,8 @@ struct Tile {
     /// Cycle count at which this tile's core halted (its private notion of
     /// "my run took this long"); `None` while still running.
     done_at: Option<u64>,
+    /// The event queue's probe schedule for this tile.
+    probe: Probe,
 }
 
 /// Per-tile failure record of one fabric run: every tile that ended the
@@ -434,30 +438,29 @@ impl FabricStats {
 }
 
 /// `N` tiles over one banked shared memory, advanced by either the
-/// lock-step scheduler (the differential oracle) or the discrete-event
-/// scheduler (see [`SystemConfig::event_queue`]).
+/// per-cycle loop (the differential oracle) or the discrete-event
+/// scheduler (see [`SystemConfig::scheduler`]).
 pub struct Fabric {
     tiles: Vec<Tile>,
     mem: FabricMemory,
     arb: ArbPolicy,
     cycle: u64,
     max_cycles: u64,
-    cycle_skip: bool,
-    /// Discrete-event scheduling active (`cfg.event_queue && cfg.cycle_skip`
-    /// — the queue *is* per-tile cycle skipping, so turning skipping off
-    /// selects the pure per-cycle loop).
-    event_queue: bool,
-    /// Pending fault schedule; the next pending cycle bounds every
-    /// fast-forward so no injection point is skipped over.
+    scheduler: Scheduler,
+    /// The memory can hold a requester past the next cycle
+    /// ([`FabricMemory::multi_cycle`]), fixed at construction.
+    multi_cycle_mem: bool,
+    /// Pending fault schedule; the next pending cycle bounds every park
+    /// so no injection point is skipped over.
     fault_plan: Option<FaultPlan>,
     /// Host-side scheduler accounting (stepped vs skipped cycles).
     sched: SchedStats,
-    /// Host-side per-tile scheduler accounting (queue pops, parked spans).
+    /// Host-side per-tile scheduler accounting (steps, probes, parks).
     tile_sched: Vec<TileSchedStats>,
-    /// Fast-forward spans, recorded only when event tracing is on (the
-    /// Chrome exporter renders them as a per-tile scheduler lane). Kept
-    /// off the per-tile buses so event streams stay bit-identical between
-    /// scheduler modes.
+    /// Clock jumps (cycles on which no tile stepped), recorded only when
+    /// event tracing is on (the Chrome exporter renders them as a
+    /// scheduler lane). Kept off the per-tile buses so event streams stay
+    /// bit-identical between schedulers.
     skip_spans: Option<Vec<SkipSpan>>,
     /// Per-tile parked spans, recorded only when event tracing is on (the
     /// park-soundness property test replays each span against a per-cycle
@@ -465,17 +468,45 @@ pub struct Fabric {
     park_spans: Option<Vec<Vec<SkipSpan>>>,
 }
 
-/// Per-tile classification for one fast-forward attempt: what bulk-replay
-/// the skipped span owes this tile.
+/// What bulk replay a parked span owes one tile.
 enum Replay {
-    /// Core halted: the tile is frozen, nothing to replay.
-    Frozen,
     /// Core busy (or the engine merely idle): only `skip_idle` applies.
     Busy,
     /// Core parked on an empty stream window at this address.
     Window(u32),
     /// Core losing bank arbitration for this address.
     Port,
+}
+
+/// The event queue's per-tile state: what the tile's last step did and
+/// when the queue next asks it for its wake bound (see
+/// [`Fabric::run_event_queue`]). A probe costs about as much as a step of
+/// an idle tile, and on 1-cycle memory almost every probe would find the
+/// tile busy, so a tile is probed eagerly only on signals that make a park
+/// likely and otherwise on a doubling schedule.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// The core's next action cycle after its last step (`u64::MAX` once
+    /// halted).
+    core_at: u64,
+    /// The last step signalled a likely park.
+    onset: bool,
+    /// On 1-cycle memory: the tile acts on the next cycle for sure (its
+    /// core moves on, or its HHT just touched memory), so it cannot park.
+    acts: bool,
+    /// Latest response cycle of the tile's granted memory requests.
+    lands_at: u64,
+    /// Start of the current busy streak: the last park end or onset.
+    streak_from: u64,
+    /// Next cycle the doubling schedule probes at.
+    next_at: u64,
+}
+
+impl Probe {
+    /// A streak starting at `now`, probed after its first step.
+    fn new(now: u64) -> Self {
+        Probe { core_at: 0, onset: false, acts: false, lands_at: 0, streak_from: now, next_at: now }
+    }
 }
 
 impl Fabric {
@@ -516,6 +547,7 @@ impl Fabric {
                 faults_dropped: 0,
                 fatal: false,
                 done_at: None,
+                probe: Probe::new(0),
             });
         }
         let plan = FaultPlan::from_seed(cfg.fault, mem.size());
@@ -528,12 +560,12 @@ impl Fabric {
         };
         Fabric {
             tiles,
+            multi_cycle_mem: mem.multi_cycle(),
             mem,
             arb: fab.arb,
             cycle: 0,
             max_cycles: cfg.core.max_cycles,
-            cycle_skip: cfg.cycle_skip,
-            event_queue: cfg.event_queue && cfg.cycle_skip,
+            scheduler: cfg.scheduler,
             fault_plan: (!plan.is_empty()).then_some(plan),
             sched: SchedStats::default(),
             tile_sched: vec![TileSchedStats::default(); fab.tiles],
@@ -710,7 +742,7 @@ impl Fabric {
     /// cycle. [`Fabric::stats`] stays readable after an error so the
     /// recovery policy can account the failed attempt per tile.
     pub fn run(&mut self) -> Result<FabricStats, FabricError> {
-        if self.event_queue {
+        if self.scheduler == Scheduler::EventQueue {
             return self.run_event_queue();
         }
         while self.tiles.iter().any(|t| !t.core.halted()) {
@@ -718,12 +750,6 @@ impl Fabric {
             self.step();
             if self.cycle >= self.max_cycles {
                 break;
-            }
-            if self.cycle_skip {
-                self.fast_forward();
-                if self.cycle >= self.max_cycles {
-                    break;
-                }
             }
         }
         self.finish()
@@ -775,8 +801,8 @@ impl Fabric {
     /// which the tile can next change architectural state, plus the bulk
     /// replay a parked span `[now, bound)` owes it. `None` means the core
     /// halted (frozen forever); a bound ≤ `now + 1` means the tile must be
-    /// stepped. The per-tile classification is the single-tile scheduler's
-    /// (see [`crate::legacy::LegacySystem`]).
+    /// stepped. The per-tile classification is the single-tile
+    /// fast-forward's (see [`crate::legacy::LegacySystem`]).
     ///
     /// Any park not exceeding the bound is *sound* even while other tiles
     /// keep stepping: the only cross-tile coupling is the shared banks, and
@@ -853,8 +879,8 @@ impl Fabric {
     }
 
     /// Commit the bulk-replay charges a parked span `[now, now + span)`
-    /// owes tile `t` — exactly the per-cycle charges the lock-step loop
-    /// would have recorded. Shared by both schedulers.
+    /// owes tile `t` — exactly the per-cycle charges the per-cycle loop
+    /// would have recorded.
     fn commit_park(&mut self, t: usize, now: u64, span: u64, plan: &Replay) {
         let tile = &mut self.tiles[t];
         let mut port = FabricPort::new(&mut self.mem, t);
@@ -870,7 +896,7 @@ impl Fabric {
             Replay::Port => {
                 tile.core.skip_port_wait(now, span, &mut port);
             }
-            Replay::Busy | Replay::Frozen => {}
+            Replay::Busy => {}
         }
         tile.hht.skip_idle(now, span, &mut port);
         self.tile_sched[t].skipped_cycles += span;
@@ -880,169 +906,203 @@ impl Fabric {
         }
     }
 
-    /// Advance `self.cycle` to the earliest cycle at which *any* tile can
-    /// act, replaying the skipped span's per-cycle charges on every live
-    /// tile. The fabric skips only when every tile is provably inert, so
-    /// the span is the minimum of the per-tile bounds (and of the next
-    /// pending fault-injection cycle).
-    fn fast_forward(&mut self) {
-        let now = self.cycle;
-        let mut plans: Vec<Replay> = Vec::with_capacity(self.tiles.len());
-        let mut target = u64::MAX;
-        for t in 0..self.tiles.len() {
-            match self.tile_bound(t, now) {
-                // Halted: frozen forever, no bound and nothing to replay.
-                None => plans.push(Replay::Frozen),
-                Some((bound, replay)) => {
-                    if bound <= now + 1 {
-                        return; // a tile acts now (or a 1-cycle span): step it
-                    }
-                    plans.push(replay);
-                    target = target.min(bound);
-                }
-            }
+    /// Ask tile `t` for its wake bound at `now` and park it when the bound
+    /// lies in the future (capped by the next live fault injection and the
+    /// watchdog limit). Returns the wake cycle of the park, `None` when
+    /// the tile must step at `now`.
+    fn probe_and_park(&mut self, t: usize, now: u64) -> Option<u64> {
+        self.tile_sched[t].probes += 1;
+        let (bound, plan) = self.tile_bound(t, now)?;
+        let mut target = bound.min(self.max_cycles);
+        if let Some(f) = self.next_live_fault_cycle() {
+            target = target.min(f);
         }
-        if target == u64::MAX {
-            // Every tile is frozen: the run is over, and a pending fault
-            // cycle must not drag the wall clock past the final halt.
-            return;
+        if target <= now {
+            return None;
         }
-        // Never jump past a pending fault injection that can still land
-        // (faults aimed at halted tiles are dropped, not applied, so they
-        // must not drag the clock).
-        if let Some(fault_at) = self.next_live_fault_cycle() {
-            target = target.min(fault_at);
+        self.commit_park(t, now, target - now, &plan);
+        Some(target)
+    }
+
+    /// Step the due tiles, given in arbiter order: CPUs first, then HHTs
+    /// — call order *is* bank priority, exactly as in `step`.
+    #[inline(always)]
+    fn step_due(&mut self, order: impl Iterator<Item = usize> + Clone, now: u64) {
+        for t in order.clone() {
+            self.step_core(t, now);
         }
-        if target <= now + 1 {
-            return; // nothing worth skipping
-        }
-        let span = (target - now).min(self.max_cycles.saturating_sub(now));
-        let parked: Vec<(usize, Replay)> =
-            plans.into_iter().enumerate().filter(|(_, p)| !matches!(p, Replay::Frozen)).collect();
-        for (t, plan) in parked {
-            self.commit_park(t, now, span, &plan);
-        }
-        self.cycle = now + span;
-        self.sched.skipped_cycles += span;
-        self.sched.skip_spans += 1;
-        if let Some(spans) = self.skip_spans.as_mut() {
-            spans.push(SkipSpan { start: now, end: now + span });
+        for t in order {
+            self.step_hht(t, now);
         }
     }
 
-    /// Run under the discrete-event scheduler: a min-heap of
-    /// `(wake, tile)` entries advances each tile independently to its own
-    /// next wake, so a parked tile costs *zero* host work per simulated
-    /// cycle instead of a full step. Bit-identical to the lock-step `run`
-    /// (the differential oracle, `with_event_queue(false)`) because:
+    /// Step tile `t`'s core at `now` for the event queue and note what
+    /// the step signals about a park (see [`Probe`]).
+    #[inline(always)]
+    fn step_core(&mut self, t: usize, now: u64) {
+        let next = now + 1;
+        let tile = &mut self.tiles[t];
+        let mut port = FabricPort::new(&mut self.mem, t);
+        tile.core.step(now, &mut port, &mut tile.hht);
+        // The core's next action: `now` after a failed retry, `next` when
+        // it simply moves on, later while busy.
+        let core_at = tile.core.next_event(now).unwrap_or(u64::MAX);
+        let p = &mut tile.probe;
+        p.onset = (now >= p.core_at) & (core_at > next) & (core_at != u64::MAX);
+        p.core_at = core_at;
+        if self.multi_cycle_mem {
+            p.onset |= port.refused();
+            p.lands_at = p.lands_at.max(port.lands_at());
+        }
+    }
+
+    /// Step tile `t`'s HHT at `now` for the event queue and note what the
+    /// step signals about a park (see [`Probe`]).
+    #[inline(always)]
+    fn step_hht(&mut self, t: usize, now: u64) {
+        let next = now + 1;
+        let tile = &mut self.tiles[t];
+        let mut port = FabricPort::new(&mut self.mem, t);
+        tile.hht.step(now, &mut port);
+        let p = &mut tile.probe;
+        if self.multi_cycle_mem {
+            p.onset |= port.refused();
+            p.lands_at = p.lands_at.max(port.lands_at());
+        } else {
+            p.acts = port.refused() | (port.lands_at() == next) | (p.core_at == next);
+        }
+    }
+
+    /// Run under the discrete-event scheduler. Each tile is either *due*
+    /// (on a flat list, kept in tile order, of tiles that step this
+    /// cycle), *parked* (in a min-heap keyed by wake cycle, costing zero
+    /// host work until it wakes) or halted. Due tiles step CPUs first,
+    /// then HHTs, in arbiter order; when no tile is due the clock jumps
+    /// to the earliest wake.
+    ///
+    /// **Bit-identical to the per-cycle loop** (the differential oracle,
+    /// [`Scheduler::PerCycle`]) because:
     ///
     /// - every park is bounded by [`Self::tile_bound`], whose span is
     ///   provably inert for the tile, and [`Self::commit_park`] charges it
     ///   exactly what the per-cycle loop would have;
-    /// - a parked tile's lock-step steps never grant a bank (inert cycles
+    /// - a parked tile's per-cycle steps never grant a bank (inert cycles
     ///   issue no winning accesses), so the shared memory evolves exactly
     ///   as if every tile had been stepped;
-    /// - all tiles due on a cycle step in arbiter order, preserving
-    ///   call-order bank arbitration among the only tiles that can
-    ///   contend;
-    /// - no park crosses a pending *live* fault-injection cycle (every
-    ///   target is capped by `next_live_fault_cycle`; events aimed at
-    ///   halted tiles are dropped at injection in both schedulers, so the
-    ///   cumulative take-due set — and therefore every drop decision — is
-    ///   scheduler-invariant) or the watchdog limit.
+    /// - due tiles step in arbiter order, preserving call-order bank
+    ///   arbitration among the only tiles that can contend;
+    /// - no park crosses a pending *live* fault-injection cycle (events
+    ///   aimed at halted tiles are dropped at injection under both
+    ///   schedulers, so the cumulative take-due set — and every drop
+    ///   decision — is scheduler-invariant) or the watchdog limit;
+    /// - stepping a tile that *could* have parked is exactly what the
+    ///   per-cycle loop does, so *when* the scheduler asks for a bound
+    ///   changes host work only, never a simulated value.
+    ///
+    /// **Probe policy.** The last rule makes probing lazy at no exactness
+    /// cost. A tile is probed right after a step that signals a likely
+    /// park — its core started an instruction that keeps it busy past the
+    /// next cycle, or, on memory that can hold a requester longer than a
+    /// cycle ([`FabricMemory::multi_cycle`]), one of its responses lands
+    /// after the next cycle or its request was refused — and otherwise at
+    /// doubling offsets (1, 2, 4, … cycles) from the start of its busy
+    /// streak, which resets on every park and onset. A tile that turns
+    /// parkable mid-streak (a deadlock included, whose bound is the
+    /// watchdog limit) is therefore stepped at most as many extra cycles
+    /// as the streak had already lasted. On 1-cycle memory a tile whose
+    /// core simply moves on, or whose HHT just touched memory, acts on the
+    /// next cycle and is not probed at all.
     fn run_event_queue(&mut self) -> Result<FabricStats, FabricError> {
         let n = self.tiles.len();
-        // One entry per live tile, always: a tile leaves the heap only by
-        // halting. Ties pop lowest-tile-first, but the order never matters
-        // — the due set is collected fully, then stepped in arbiter order.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
-            .filter(|&t| !self.tiles[t].core.halted())
-            .map(|t| Reverse((self.cycle, t)))
-            .collect();
-        let mut due: Vec<usize> = Vec::with_capacity(n);
-        // Tiles halted before ever stepping still get their `done_at`
-        // latched after the first stepped cycle, exactly as in lock-step.
-        let mut prehalted: Vec<usize> = (0..n).filter(|&t| self.tiles[t].core.halted()).collect();
-        'sched: while let Some(&Reverse((wake, _))) = heap.peek() {
-            // Jump the clock to the earliest wake. The cycles in between
-            // were already paid for when each park's replay committed.
-            if wake > self.cycle {
-                self.sched.skipped_cycles += wake - self.cycle;
-                self.sched.skip_spans += 1;
-                if let Some(spans) = self.skip_spans.as_mut() {
-                    spans.push(SkipSpan { start: self.cycle, end: wake });
-                }
-                self.cycle = wake;
-                if self.cycle >= self.max_cycles {
-                    break 'sched;
+        for tile in &mut self.tiles {
+            tile.probe = Probe::new(self.cycle);
+        }
+        // Due tiles in tile order; parked tiles in a wake-ordered heap.
+        let mut due: Vec<usize> = (0..n).filter(|&t| !self.tiles[t].core.halted()).collect();
+        let mut parked: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        if !due.is_empty() {
+            // Tiles halted before ever stepping latch `done_at` after the
+            // first stepped cycle, exactly as in `step`.
+            for tile in self.tiles.iter_mut().filter(|tile| tile.core.halted()) {
+                tile.done_at = Some(self.cycle + 1);
+            }
+        }
+        loop {
+            if due.is_empty() {
+                // Jump the clock to the earliest wake. The cycles in
+                // between were already paid for when each park committed.
+                let Some(&Reverse((wake, _))) = parked.peek() else {
+                    break;
+                };
+                if wake > self.cycle {
+                    self.sched.skipped_cycles += wake - self.cycle;
+                    self.sched.skip_spans += 1;
+                    if let Some(spans) = self.skip_spans.as_mut() {
+                        spans.push(SkipSpan { start: self.cycle, end: wake });
+                    }
+                    self.cycle = wake;
+                    if self.cycle >= self.max_cycles {
+                        break;
+                    }
                 }
             }
-            self.inject_due_faults();
-            due.clear();
-            while let Some(&Reverse((w, t))) = heap.peek() {
-                if w > self.cycle {
+            while let Some(&Reverse((wake, t))) = parked.peek() {
+                if wake > self.cycle {
                     break;
                 }
-                heap.pop();
-                due.push(t);
-                self.tile_sched[t].pops += 1;
+                parked.pop();
+                let at = due.partition_point(|&d| d < t);
+                due.insert(at, t);
             }
-            // Step the due set: CPUs first, then HHTs, both in arbiter
-            // order — call order *is* bank priority, exactly as in `step`.
+            self.inject_due_faults();
             let now = self.cycle;
+            let next = now + 1;
+            // Arbiter order: the due tiles from the arbiter's start tile
+            // on, then the ones before it.
             let start = self.arb_start();
-            due.sort_unstable_by_key(|&t| (t + n - start) % n);
-            for &t in &due {
-                let tile = &mut self.tiles[t];
-                let mut port = FabricPort::new(&mut self.mem, t);
-                tile.core.step(now, &mut port, &mut tile.hht);
+            if due.len() == n {
+                // Every tile is due: the order is a plain rotation.
+                self.step_due((start..n).chain(0..start), now);
+            } else {
+                let (before, after) = due.split_at(due.partition_point(|&t| t < start));
+                self.step_due(after.iter().chain(before).copied(), now);
             }
-            for &t in &due {
-                let tile = &mut self.tiles[t];
-                let mut port = FabricPort::new(&mut self.mem, t);
-                tile.hht.step(now, &mut port);
-            }
-            self.cycle = now + 1;
+            self.cycle = next;
             self.sched.stepped_cycles += 1;
-            // Only stepped tiles can newly halt; parked tiles are inert.
-            for &t in &due {
-                self.tile_sched[t].stepped_cycles += 1;
+            // Re-plan every stepped tile: halted tiles leave for good,
+            // probed tiles whose bound lies ahead park, the rest stay due.
+            let mut kept = 0;
+            for i in 0..due.len() {
+                let t = due[i];
+                let ts = &mut self.tile_sched[t];
+                ts.pops += 1;
+                ts.stepped_cycles += 1;
                 let tile = &mut self.tiles[t];
-                if tile.done_at.is_none() && tile.core.halted() {
-                    tile.done_at = Some(self.cycle);
+                let p = &mut tile.probe;
+                if p.core_at == u64::MAX {
+                    tile.done_at.get_or_insert(next);
+                    continue;
                 }
-            }
-            if !prehalted.is_empty() {
-                for t in prehalted.drain(..) {
-                    self.tiles[t].done_at = Some(self.cycle);
+                // A response still in flight keeps the onset alive.
+                let onset = p.onset | (p.lands_at > next);
+                p.streak_from = if onset { next } else { p.streak_from };
+                let want = (onset | (next >= p.next_at)) & !p.acts & (next < self.max_cycles);
+                if want {
+                    if let Some(wake) = self.probe_and_park(t, next) {
+                        let p = &mut self.tiles[t].probe;
+                        *p = Probe { core_at: p.core_at, lands_at: p.lands_at, ..Probe::new(wake) };
+                        parked.push(Reverse((wake, t)));
+                        continue;
+                    }
+                    let p = &mut self.tiles[t].probe;
+                    p.next_at = next + (next - p.streak_from).max(1);
                 }
+                due[kept] = t;
+                kept += 1;
             }
+            due.truncate(kept);
             if self.cycle >= self.max_cycles {
-                break 'sched;
-            }
-            // Re-plan every stepped tile from the new cycle: park it to
-            // its bound (committing the span's charges eagerly) or
-            // re-enqueue it for the next cycle. Halted tiles leave the
-            // queue for good.
-            let now = self.cycle;
-            let fault_at = self.next_live_fault_cycle();
-            for &t in &due {
-                if self.tiles[t].core.halted() {
-                    continue;
-                }
-                let Some((bound, plan)) = self.tile_bound(t, now) else {
-                    continue;
-                };
-                let mut target = bound.min(self.max_cycles);
-                if let Some(f) = fault_at {
-                    target = target.min(f);
-                }
-                if target > now {
-                    self.commit_park(t, now, target - now, &plan);
-                    heap.push(Reverse((target, t)));
-                } else {
-                    heap.push(Reverse((now, t)));
-                }
+                break;
             }
         }
         self.finish()
@@ -1105,15 +1165,14 @@ impl Fabric {
     }
 
     /// Move the recorded per-tile parked spans out of the scheduler's sink
-    /// (empty when tracing is off). `result[t]` is tile `t`'s parked spans
-    /// in chronological order; under the lock-step scheduler every live
-    /// tile records each global fast-forward span.
+    /// (empty when tracing is off or the per-cycle scheduler ran).
+    /// `result[t]` is tile `t`'s parked spans in chronological order.
     pub fn take_park_spans(&mut self) -> Vec<Vec<SkipSpan>> {
         self.park_spans.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Move the recorded fast-forward spans out of the scheduler's sink
-    /// (empty when tracing is off or the per-cycle scheduler ran).
+    /// Move the recorded clock jumps out of the scheduler's sink (empty
+    /// when tracing is off or the per-cycle scheduler ran).
     pub fn take_skip_spans(&mut self) -> Vec<SkipSpan> {
         self.skip_spans.as_mut().map(std::mem::take).unwrap_or_default()
     }

@@ -9,7 +9,7 @@
 //! fabric cycle-, stats- and event-identical to this machine, which pins
 //! the refactor to the seed behaviour.
 
-use crate::config::SystemConfig;
+use crate::config::{Scheduler, SystemConfig};
 use crate::system::{FaultSummary, SystemStats};
 use hht_accel::{Hht, Wake};
 use hht_fault::{FaultKind, FaultPlan};
@@ -62,7 +62,7 @@ impl LegacySystem {
             sram,
             cycle: 0,
             max_cycles: cfg.core.max_cycles,
-            cycle_skip: cfg.cycle_skip,
+            cycle_skip: cfg.scheduler == Scheduler::EventQueue,
             fault_plan: (!plan.is_empty()).then_some(plan),
             faults_injected: 0,
             obs,
@@ -139,9 +139,9 @@ impl LegacySystem {
     /// ([`RunError::Watchdog`]), so a deadlocked configuration fails one
     /// experiment cell instead of aborting a whole parallel sweep.
     ///
-    /// With `cfg.cycle_skip` (the default) the loop is event-driven: after
-    /// each stepped cycle it asks every component for its next wake cycle
-    /// and fast-forwards `self.cycle` over spans where all of them are
+    /// Under [`Scheduler::EventQueue`] (the default) the loop is
+    /// event-driven: after each stepped cycle it asks every component for
+    /// its next wake cycle and fast-forwards `self.cycle` over spans where all of them are
     /// provably inert, charging the span to the same counters the per-cycle
     /// loop would have recorded. Cycle counts, stats and obs event streams
     /// are bit-identical between the two modes (see `tests/determinism.rs`).

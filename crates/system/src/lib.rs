@@ -10,8 +10,9 @@
 //! - [`kernels`] — the kernel library: every baseline and HHT-assisted
 //!   SpMV / SpMSpV program, emitted as real RV32 assembly through
 //!   `hht-isa`.
-//! - [`system`] — [`system::System`]: the lock-step cycle loop (CPU steps
-//!   first each cycle, then the HHT, sharing the SRAM port).
+//! - [`system`] — [`system::System`]: the single-tile machine (CPU steps
+//!   first each cycle, then the HHT, sharing the SRAM port), a one-tile
+//!   [`fabric::Fabric`].
 //! - [`runner`] — one-call "run kernel X on problem Y" helpers that also
 //!   verify the numeric result against the `hht-sparse` golden kernels.
 //! - [`experiments`] — the figure-level drivers (speedup sweeps, wait-cycle
@@ -37,7 +38,7 @@ pub mod runner;
 pub mod system;
 pub mod tiling;
 
-pub use config::{SystemConfig, TraceConfig};
+pub use config::{Scheduler, SystemConfig, TraceConfig};
 pub use fabric::{ArbPolicy, Fabric, FabricConfig, FabricStats, SchedStats, TileSchedStats};
 pub use legacy::LegacySystem;
 pub use metrics::MetricsSnapshot;

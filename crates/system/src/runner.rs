@@ -415,13 +415,13 @@ pub struct FabricRunOutput {
     /// Host-side scheduler accounting (stepped vs skipped cycles),
     /// fabric-wide.
     pub sched: SchedStats,
-    /// Host-side per-tile scheduler accounting (queue pops, parked spans),
-    /// indexed by tile.
+    /// Host-side per-tile scheduler accounting (queue pops, wake-bound
+    /// probes, parked spans), indexed by tile.
     pub tile_sched: Vec<TileSchedStats>,
     /// Ring-buffer eviction counters summed over every tile's sinks.
     pub dropped: hht_obs::ObsDrops,
-    /// The fast-forward spans the cycle-skip scheduler took (empty when
-    /// tracing is off or the per-cycle scheduler ran); feed to
+    /// The clock jumps the event-queue scheduler took (empty when tracing
+    /// is off or the per-cycle scheduler ran); feed to
     /// [`hht_obs::chrome::chrome_trace_json_tiles_sched`].
     pub skip_spans: Vec<hht_obs::SkipSpan>,
     /// `Some` when the per-tile fault-domain recovery policy had to act
@@ -504,8 +504,9 @@ impl FabricRecovery {
 /// destructuring: a new counter breaks this merge at compile time instead
 /// of being silently dropped from multi-attempt totals.
 fn add_tile_sched(acc: &mut TileSchedStats, s: &TileSchedStats) {
-    let TileSchedStats { pops, stepped_cycles, skipped_cycles, parks } = *s;
+    let TileSchedStats { pops, probes, stepped_cycles, skipped_cycles, parks } = *s;
     acc.pops += pops;
+    acc.probes += probes;
     acc.stepped_cycles += stepped_cycles;
     acc.skipped_cycles += skipped_cycles;
     acc.parks += parks;

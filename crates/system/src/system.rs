@@ -113,12 +113,13 @@ impl System {
     /// ([`RunError::Watchdog`]), so a deadlocked configuration fails one
     /// experiment cell instead of aborting a whole parallel sweep.
     ///
-    /// With `cfg.cycle_skip` (the default) the loop is event-driven: after
-    /// each stepped cycle it asks every component for its next wake cycle
-    /// and fast-forwards over spans where all of them are provably inert,
+    /// Under [`Scheduler::EventQueue`](crate::config::Scheduler) (the
+    /// default) the loop is event-driven: it parks the tile over spans
+    /// where the core, the HHT and the memory port are all provably inert,
     /// charging the span to the same counters the per-cycle loop would
     /// have recorded. Cycle counts, stats and obs event streams are
-    /// bit-identical between the two modes (see `tests/determinism.rs`).
+    /// bit-identical between the two schedulers (see
+    /// `tests/determinism.rs`).
     pub fn run(&mut self) -> Result<SystemStats, RunError> {
         // A single-tile fabric's error list names exactly one fault domain
         // (tile 0); unwrap it back to the plain per-run error.
@@ -150,8 +151,8 @@ impl System {
         self.fabric.sched_stats()
     }
 
-    /// Move the recorded fast-forward spans out of the scheduler's sink
-    /// (empty when tracing is off or the per-cycle scheduler ran).
+    /// Move the recorded clock jumps out of the scheduler's sink (empty
+    /// when tracing is off or the per-cycle scheduler ran).
     pub fn take_skip_spans(&mut self) -> Vec<hht_obs::SkipSpan> {
         self.fabric.take_skip_spans()
     }

@@ -5,7 +5,7 @@
 
 use hht::fault::FaultConfig;
 use hht::sparse::generate;
-use hht::system::config::{SystemConfig, TraceConfig};
+use hht::system::config::{Scheduler, SystemConfig, TraceConfig};
 use hht::system::{experiments, runner, RunOutput};
 use proptest::prelude::*;
 
@@ -108,8 +108,8 @@ fn run_kernel(cfg: &SystemConfig, kernel: usize, n: usize, sparsity: f64, seed: 
 /// The skip-mode and legacy-mode runs of one kernel must agree bit-for-bit
 /// on results, cycle counts, every counter and (when traced) every event.
 fn assert_skip_matches_legacy(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
-    let skip = run_kernel(&base.with_cycle_skip(true), kernel, n, s, seed);
-    let legacy = run_kernel(&base.with_cycle_skip(false), kernel, n, s, seed);
+    let skip = run_kernel(&base.with_scheduler(Scheduler::EventQueue), kernel, n, s, seed);
+    let legacy = run_kernel(&base.with_scheduler(Scheduler::PerCycle), kernel, n, s, seed);
     assert_eq!(
         skip.stats, legacy.stats,
         "kernel {kernel} n={n} s={s} buffers={}",
@@ -242,17 +242,17 @@ fn build_image(
 /// cycle-skipping and per-cycle modes.
 fn assert_fabric_matches_legacy(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
     use hht::system::{LegacySystem, System};
-    for skip in [true, false] {
-        let cfg = base.with_cycle_skip(skip).with_trace(TraceConfig::enabled());
+    for scheduler in [Scheduler::EventQueue, Scheduler::PerCycle] {
+        let cfg = base.with_scheduler(scheduler).with_trace(TraceConfig::enabled());
         let (sram, program, y_base, rows) = build_image(&cfg, kernel, n, s, seed);
         let mut legacy = LegacySystem::new(&cfg, program.clone(), sram);
         let ls = legacy.run().expect("legacy run");
         let (sram, program, ..) = build_image(&cfg, kernel, n, s, seed);
         let mut sys = System::new(&cfg, program, sram);
         let fs = sys.run().expect("fabric run");
-        assert_eq!(fs, ls, "kernel {kernel} n={n} s={s} skip={skip}");
+        assert_eq!(fs, ls, "kernel {kernel} n={n} s={s} {scheduler:?}");
         assert_eq!(sys.read_output(y_base, rows), legacy.read_output(y_base, rows));
-        assert_eq!(sys.take_events(), legacy.take_events(), "kernel {kernel} skip={skip}");
+        assert_eq!(sys.take_events(), legacy.take_events(), "kernel {kernel} {scheduler:?}");
     }
 }
 
@@ -298,13 +298,13 @@ fn multi_tile_fabric_skip_matches_per_cycle() {
     for tiles in [2usize, 4] {
         let traced = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
         let skip = runner::run_spmv_fabric(
-            &traced.with_cycle_skip(true),
+            &traced.with_scheduler(Scheduler::EventQueue),
             FabricConfig::scaled(tiles),
             &m,
             &v,
         );
         let step = runner::run_spmv_fabric(
-            &traced.with_cycle_skip(false),
+            &traced.with_scheduler(Scheduler::PerCycle),
             FabricConfig::scaled(tiles),
             &m,
             &v,
@@ -316,10 +316,13 @@ fn multi_tile_fabric_skip_matches_per_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// Discrete-event queue vs lock-step fabric scheduler
+// Discrete-event queue vs the per-cycle fabric oracle (test names that say
+// "lockstep" predate the lock-step scheduler's removal; the oracle is now
+// the per-cycle loop)
 // ---------------------------------------------------------------------------
 
 /// Run one fabric kernel flavour for a given config; index selects one.
+/// A fault plan applies to the SpMV kernel only (index 0).
 fn run_fabric_kernel(
     cfg: &SystemConfig,
     kernel: usize,
@@ -327,6 +330,7 @@ fn run_fabric_kernel(
     n: usize,
     sparsity: f64,
     seed: u64,
+    plan: Option<hht::fault::FaultPlan>,
 ) -> runner::FabricRunOutput {
     use hht::system::FabricConfig;
     let fab = FabricConfig::scaled(tiles);
@@ -334,7 +338,10 @@ fn run_fabric_kernel(
     match kernel {
         0 => {
             let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_fabric(cfg, fab, &m, &v)
+            match plan {
+                Some(plan) => runner::run_spmv_fabric_with_plan(cfg, fab, &m, &v, plan),
+                None => runner::run_spmv_fabric(cfg, fab, &m, &v),
+            }
         }
         1 => {
             let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
@@ -347,41 +354,95 @@ fn run_fabric_kernel(
     }
 }
 
-/// The event-queue and lock-step runs of one fabric kernel must agree
-/// bit-for-bit: results, per-tile counters, shared-memory statistics and
-/// (when traced) every tile's event stream.
-fn assert_event_queue_matches_lockstep(
+/// The event-queue and per-cycle runs of one fabric kernel must agree
+/// bit-for-bit: results, per-tile counters, shared-memory statistics,
+/// (when traced) every tile's event stream, and the recovery log.
+fn assert_event_queue_matches_per_cycle(
     base: SystemConfig,
     kernel: usize,
     tiles: usize,
     n: usize,
     s: f64,
     seed: u64,
+    plan: Option<hht::fault::FaultPlan>,
 ) {
-    let eq = run_fabric_kernel(&base.with_event_queue(true), kernel, tiles, n, s, seed);
-    let ls = run_fabric_kernel(&base.with_event_queue(false), kernel, tiles, n, s, seed);
-    assert_eq!(eq.stats, ls.stats, "kernel {kernel} tiles={tiles} n={n} s={s}");
-    assert_eq!(eq.y, ls.y);
-    assert_eq!(eq.tile_events, ls.tile_events, "kernel {kernel} tiles={tiles}");
+    let eq = run_fabric_kernel(
+        &base.with_scheduler(Scheduler::EventQueue),
+        kernel,
+        tiles,
+        n,
+        s,
+        seed,
+        plan.clone(),
+    );
+    let pc = run_fabric_kernel(
+        &base.with_scheduler(Scheduler::PerCycle),
+        kernel,
+        tiles,
+        n,
+        s,
+        seed,
+        plan,
+    );
+    let ctx = format!("kernel {kernel} tiles={tiles} n={n} s={s} seed={seed}");
+    assert_eq!(eq.stats, pc.stats, "{ctx}");
+    assert_eq!(eq.y, pc.y, "{ctx}");
+    assert_eq!(eq.tile_events, pc.tile_events, "{ctx}");
+    assert_eq!(eq.recovery, pc.recovery, "{ctx}");
+}
+
+/// A fault plan mixing a transient engine stall, delayed responses and a
+/// fatal tile kill, derived from `seed` over `tiles` tiles.
+fn mixed_fault_plan(tiles: usize, seed: u64) -> hht::fault::FaultPlan {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    let tile = |shift: u32| ((seed >> shift) % tiles as u64) as u32;
+    FaultPlan::new(vec![
+        FaultEvent::on_tile(
+            20 + seed % 300,
+            FaultKind::EngineStall { cycles: 1 + seed % 200 },
+            tile(8),
+        ),
+        FaultEvent::on_tile(
+            40 + (seed >> 4) % 400,
+            FaultKind::DelayResponse { cycles: 1 + (seed >> 12) % 100 },
+            tile(16),
+        ),
+        FaultEvent::on_tile(100 + (seed >> 6) % 500, FaultKind::TileKill, tile(24)),
+    ])
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The differential property behind the discrete-event scheduler: the
-    /// event queue is observationally identical to the lock-step loop
-    /// across random fabric kernels × tile counts × sparsities.
+    /// event queue is observationally identical to the per-cycle loop
+    /// across random fabric kernels × tile counts × sparsities, on the
+    /// paper's 1-cycle SRAM and behind 300 ns DRAM, with and without a
+    /// mixed fault plan (engine stall, delayed responses, a tile kill)
+    /// under the per-tile recovery policy.
     #[test]
     fn event_queue_is_bit_identical_to_lockstep(
         kernel in 0usize..3,
-        tiles_log in 0u32..4, // 1, 2, 4, 8 tiles
+        tiles_log in 0u32..5, // 1, 2, 4, 8, 16 tiles
+        mode in 0u32..4, // bit 0: 300 ns DRAM, bit 1: mixed fault plan
         sparsity_pct in 5u32..95,
         n in 12usize..40,
         seed in 0u64..1_000_000,
     ) {
-        let cfg = SystemConfig::paper_default();
-        assert_event_queue_matches_lockstep(
-            cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed,
+        use hht::mem::DramConfig;
+        let (tiles, slow_dram, faults) = (1 << tiles_log, mode & 1 == 1, mode & 2 == 2);
+        let mut cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
+        if slow_dram {
+            cfg = cfg.with_dram(DramConfig::slow_300ns());
+        }
+        let (kernel, plan) = if faults {
+            cfg = cfg.with_hht_timeout(64).with_recovery(true);
+            (0, Some(mixed_fault_plan(tiles, seed)))
+        } else {
+            (kernel, None)
+        };
+        assert_event_queue_matches_per_cycle(
+            cfg, kernel, tiles, n, sparsity_pct as f64 / 100.0, seed, plan,
         );
     }
 }
@@ -395,7 +456,7 @@ fn event_queue_matches_lockstep_with_slow_memory_and_events() {
             let traced = SystemConfig::paper_default()
                 .with_ram_word_cycles(8)
                 .with_trace(TraceConfig::enabled());
-            assert_event_queue_matches_lockstep(traced, kernel, tiles, 24, 0.5, 0xD1FF);
+            assert_event_queue_matches_per_cycle(traced, kernel, tiles, 24, 0.5, 0xD1FF, None);
         }
     }
 }
@@ -404,7 +465,8 @@ fn event_queue_matches_lockstep_with_slow_memory_and_events() {
 fn event_queue_matches_lockstep_under_fault_injection() {
     // Timing faults (delays, engine stalls) move wake times and memory
     // faults may corrupt the result, so drive the fabric directly (no
-    // golden verify): both schedulers must produce the same outcome —
+    // golden verify): the event queue must produce the per-cycle oracle's
+    // outcome —
     // same stats, same output words, same traced fault timeline.
     use hht::system::FabricConfig;
     let m = generate::random_csr(32, 32, 0.5, 0xFA8);
@@ -417,23 +479,24 @@ fn event_queue_matches_lockstep_under_fault_injection() {
         let fab = FabricConfig::scaled(tiles);
         let (mut eq, y_base) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
         let eq_res = eq.run();
-        let (mut ls, _) = runner::build_spmv_fabric(&cfg.with_event_queue(false), fab, &m, &v);
-        let ls_res = ls.run();
+        let (mut pc, _) =
+            runner::build_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
+        let pc_res = pc.run();
         assert_eq!(
             format!("{eq_res:?}"),
-            format!("{ls_res:?}"),
+            format!("{pc_res:?}"),
             "tiles={tiles} fault_seed={fault_seed}"
         );
-        assert_eq!(eq.stats(), ls.stats(), "tiles={tiles} fault_seed={fault_seed}");
-        assert_eq!(eq.read_output(y_base, 32), ls.read_output(y_base, 32));
-        assert_eq!(eq.take_all_events(), ls.take_all_events(), "tiles={tiles}");
+        assert_eq!(eq.stats(), pc.stats(), "tiles={tiles} fault_seed={fault_seed}");
+        assert_eq!(eq.read_output(y_base, 32), pc.read_output(y_base, 32));
+        assert_eq!(eq.take_all_events(), pc.take_all_events(), "tiles={tiles}");
     }
 }
 
 #[test]
 fn event_queue_matches_lockstep_under_recovery_failover() {
-    // With the per-tile fault-domain recovery policy on, both schedulers
-    // must take identical failover decisions: same quarantine verdicts,
+    // With the per-tile fault-domain recovery policy on, the event queue
+    // must take the per-cycle oracle's failover decisions: same quarantine verdicts,
     // same attempt walls and shard assignments, same degraded FabricStats,
     // the same assembled (bit-exact) result and the same event timelines
     // including the host-side quarantine/failover markers.
@@ -457,14 +520,15 @@ fn event_queue_matches_lockstep_under_recovery_failover() {
                     .collect(),
             )
         };
-        let eq =
-            runner::run_spmv_fabric_with_plan(&cfg.with_event_queue(true), fab, &m, &v, plan());
-        let ls =
-            runner::run_spmv_fabric_with_plan(&cfg.with_event_queue(false), fab, &m, &v, plan());
-        assert_eq!(eq.stats, ls.stats, "tiles={tiles}");
-        assert_eq!(eq.y, ls.y, "tiles={tiles}");
-        assert_eq!(eq.recovery, ls.recovery, "tiles={tiles}");
-        assert_eq!(eq.tile_events, ls.tile_events, "tiles={tiles}");
+        let run = |scheduler| {
+            runner::run_spmv_fabric_with_plan(&cfg.with_scheduler(scheduler), fab, &m, &v, plan())
+        };
+        let eq = run(Scheduler::EventQueue);
+        let pc = run(Scheduler::PerCycle);
+        assert_eq!(eq.stats, pc.stats, "tiles={tiles}");
+        assert_eq!(eq.y, pc.y, "tiles={tiles}");
+        assert_eq!(eq.recovery, pc.recovery, "tiles={tiles}");
+        assert_eq!(eq.tile_events, pc.tile_events, "tiles={tiles}");
         let rec = eq.recovery.expect("tile kills must trigger recovery");
         assert!(!rec.quarantined().is_empty(), "tiles={tiles}: at least one kill must land");
         assert!(rec.quarantined().len() <= kills.len());
@@ -525,7 +589,8 @@ fn event_queue_parks_are_architecturally_inert() {
         // differential tests pin to the identical timeline).
         let boundaries: BTreeSet<u64> =
             parks.iter().flatten().flat_map(|s| [s.start, s.end]).collect();
-        let (mut oracle, _) = runner::build_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
+        let (mut oracle, _) =
+            runner::build_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
         let mut at: BTreeMap<u64, Vec<[u64; 12]>> = BTreeMap::new();
         while oracle.cycle() < wall {
             if boundaries.contains(&oracle.cycle()) {
@@ -567,19 +632,15 @@ fn assert_flat_dram_matches_shared(
     seed: u64,
 ) {
     use hht::mem::DramConfig;
-    for eq in [true, false] {
-        let cfg = base.with_event_queue(eq).with_trace(TraceConfig::enabled());
-        let shared = run_fabric_kernel(&cfg, kernel, tiles, n, s, seed);
-        let dram = run_fabric_kernel(&cfg.with_dram(DramConfig::flat()), kernel, tiles, n, s, seed);
-        assert_eq!(
-            dram.stats, shared.stats,
-            "kernel {kernel} tiles={tiles} n={n} s={s} event_queue={eq}"
-        );
-        assert_eq!(dram.y, shared.y, "kernel {kernel} tiles={tiles} event_queue={eq}");
-        assert_eq!(
-            dram.tile_events, shared.tile_events,
-            "kernel {kernel} tiles={tiles} event_queue={eq}"
-        );
+    for scheduler in [Scheduler::EventQueue, Scheduler::PerCycle] {
+        let cfg = base.with_scheduler(scheduler).with_trace(TraceConfig::enabled());
+        let shared = run_fabric_kernel(&cfg, kernel, tiles, n, s, seed, None);
+        let dram =
+            run_fabric_kernel(&cfg.with_dram(DramConfig::flat()), kernel, tiles, n, s, seed, None);
+        let ctx = format!("kernel {kernel} tiles={tiles} n={n} s={s} {scheduler:?}");
+        assert_eq!(dram.stats, shared.stats, "{ctx}");
+        assert_eq!(dram.y, shared.y, "{ctx}");
+        assert_eq!(dram.tile_events, shared.tile_events, "{ctx}");
     }
 }
 
@@ -605,7 +666,7 @@ proptest! {
     }
 
     /// With real DRAM timing in force (row extras, MLP window, bandwidth
-    /// budget), the event-queue and lock-step schedulers must still agree
+    /// budget), the event queue and the per-cycle oracle must still agree
     /// bit-for-bit: queued responses, window-full parks and budget refusals
     /// all replay to the same cycle stamps.
     #[test]
@@ -623,8 +684,8 @@ proptest! {
             .with_window(window)
             .with_bandwidth(budget);
         let cfg = SystemConfig::paper_default().with_dram(dc);
-        assert_event_queue_matches_lockstep(
-            cfg, kernel, 1 << tiles_log, 24, sparsity_pct as f64 / 100.0, seed,
+        assert_event_queue_matches_per_cycle(
+            cfg, kernel, 1 << tiles_log, 24, sparsity_pct as f64 / 100.0, seed, None,
         );
     }
 }
@@ -634,8 +695,8 @@ fn dram_window_parks_replay_identically() {
     // Park soundness for in-flight response queues: with slow rows and a
     // one-deep MLP window, a refused tile's wake bound is the *oldest
     // in-flight arrival* (the window only drains when responses land, not
-    // with time). All three scheduling modes — event queue, lock-step with
-    // fast-forward, per-cycle lock-step — must agree bit-for-bit on stats,
+    // with time). The event queue and the per-cycle loop must agree
+    // bit-for-bit on stats,
     // result and traced events, and the scenario must actually exercise the
     // window (stalls observed), or the test proves nothing.
     use hht::mem::DramConfig;
@@ -647,20 +708,11 @@ fn dram_window_parks_replay_identically() {
             .with_dram(DramConfig::slow_300ns().with_window(1).with_bandwidth(2))
             .with_trace(TraceConfig::enabled());
         let fab = FabricConfig::scaled(tiles);
-        let eq = runner::run_spmv_fabric(&cfg.with_event_queue(true), fab, &m, &v);
-        let skip = runner::run_spmv_fabric(&cfg.with_event_queue(false), fab, &m, &v);
-        let step = runner::run_spmv_fabric(
-            &cfg.with_event_queue(false).with_cycle_skip(false),
-            fab,
-            &m,
-            &v,
-        );
-        assert_eq!(eq.stats, skip.stats, "tiles={tiles}: event queue vs fast-forward");
-        assert_eq!(skip.stats, step.stats, "tiles={tiles}: fast-forward vs per-cycle");
-        assert_eq!(eq.y, skip.y, "tiles={tiles}");
-        assert_eq!(skip.y, step.y, "tiles={tiles}");
-        assert_eq!(eq.tile_events, skip.tile_events, "tiles={tiles}");
-        assert_eq!(skip.tile_events, step.tile_events, "tiles={tiles}");
+        let eq = runner::run_spmv_fabric(&cfg.with_scheduler(Scheduler::EventQueue), fab, &m, &v);
+        let step = runner::run_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
+        assert_eq!(eq.stats, step.stats, "tiles={tiles}: event queue vs per-cycle");
+        assert_eq!(eq.y, step.y, "tiles={tiles}");
+        assert_eq!(eq.tile_events, step.tile_events, "tiles={tiles}");
         assert!(eq.stats.mem.window_stalls > 0, "tiles={tiles}: scenario never hit the MLP window");
     }
 }
@@ -675,14 +727,59 @@ fn watchdog_expiry_is_a_recoverable_error() {
     let mut cfg = SystemConfig::paper_default();
     cfg.core.max_cycles = 10_000;
     let p = assemble("loop:\n  j loop\n").unwrap();
-    for skip in [true, false] {
+    for scheduler in [Scheduler::EventQueue, Scheduler::PerCycle] {
         let sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-        let mut sys = System::new(&cfg.with_cycle_skip(skip), p.clone(), sram);
+        let mut sys = System::new(&cfg.with_scheduler(scheduler), p.clone(), sram);
         match sys.run() {
             Err(RunError::Watchdog(c)) => assert_eq!(c, 10_000),
             other => panic!("expected watchdog error, got {other:?}"),
         }
     }
+}
+
+/// Lazy probing must not turn a deadlock's watchdog jump into a host hang:
+/// with the HHT latched dead (sticky error, no timeout protocol) and a
+/// 10^12-cycle watchdog, the event queue still reports the watchdog after
+/// stepping at most about twice the cycles before the deadlock began.
+#[test]
+fn deadlock_still_jumps_to_the_watchdog() {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    use hht::sim::RunError;
+    use hht::system::FabricConfig;
+    let m = generate::random_csr(32, 32, 0.5, 0xDEAD);
+    let v = generate::random_dense_vector(32, 0xDEAE);
+    let plan = || FaultPlan::new(vec![FaultEvent::new(300, FaultKind::MmrStickyError)]);
+    let mut cfg = SystemConfig::paper_default();
+    assert_eq!(cfg.core.hht_timeout, 0, "the paper default has no timeout protocol");
+    // Deadlock onset: the first watchdog limit by which the per-cycle
+    // oracle has retired every instruction the kernel ever will.
+    let retired_by = |limit: u64| {
+        let mut c = cfg.with_scheduler(Scheduler::PerCycle);
+        c.core.max_cycles = limit;
+        let (mut f, _) = runner::build_spmv_fabric(&c, FabricConfig::single(), &m, &v);
+        f.set_fault_plan(plan());
+        f.run().expect_err("a dead HHT must deadlock the kernel");
+        f.stats().tiles[0].core.instructions
+    };
+    let all = retired_by(20_000);
+    let (mut lo, mut onset) = (1u64, 20_000u64);
+    while lo < onset {
+        let mid = (lo + onset) / 2;
+        if retired_by(mid) == all {
+            onset = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    assert!((300..10_000).contains(&onset), "onset {onset}: the fault must stall the kernel");
+
+    cfg.core.max_cycles = 1_000_000_000_000;
+    let (mut fabric, _) = runner::build_spmv_fabric(&cfg, FabricConfig::single(), &m, &v);
+    fabric.set_fault_plan(plan());
+    let err = fabric.run().expect_err("a dead HHT must deadlock the kernel");
+    assert_eq!(err.first(), RunError::Watchdog(cfg.core.max_cycles));
+    let stepped = fabric.sched_stats().stepped_cycles;
+    assert!(stepped <= 2 * onset + 64, "stepped {stepped} cycles for a deadlock at {onset}");
 }
 
 /// One serve request (pair of identical requests from two tenants) for
@@ -760,13 +857,13 @@ proptest! {
     fn serving_is_bit_identical_to_cold_runs(
         kernel in 0usize..3,
         tiles_log in 0u32..3, // 1, 2, 4 tiles
-        event_queue in 0u32..2,
+        per_cycle in any::<bool>(),
         sparsity_pct in 40u32..95,
         n in 12usize..40,
         seed in 0u64..1_000_000,
     ) {
         let cfg = SystemConfig::paper_default()
-            .with_event_queue(event_queue == 1)
+            .with_scheduler(if per_cycle { Scheduler::PerCycle } else { Scheduler::EventQueue })
             .with_trace(TraceConfig::enabled());
         assert_serve_matches_cold(cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed);
     }

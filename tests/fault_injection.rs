@@ -4,7 +4,7 @@
 
 use hht::fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
 use hht::sparse::generate;
-use hht::system::config::{SystemConfig, TraceConfig};
+use hht::system::config::{Scheduler, SystemConfig, TraceConfig};
 use hht::system::runner;
 use proptest::prelude::*;
 
@@ -198,12 +198,12 @@ fn kill_plan(kills: &[(u64, u32)]) -> FaultPlan {
 fn killed_tile_is_quarantined_and_its_shard_fails_over() {
     let (m, v) = problem(64);
     let fab = FabricConfig::scaled(8);
-    for eq in [true, false] {
-        let cfg = robust_cfg().with_event_queue(eq);
+    for scheduler in [Scheduler::EventQueue, Scheduler::PerCycle] {
+        let cfg = robust_cfg().with_scheduler(scheduler);
         let clean = runner::run_spmv_fabric(&cfg, fab, &m, &v);
         assert!(clean.recovery.is_none());
         let out = runner::run_spmv_fabric_with_plan(&cfg, fab, &m, &v, kill_plan(&[(100, 3)]));
-        assert_eq!(out.y, clean.y, "failover result must be bit-exact (eq={eq})");
+        assert_eq!(out.y, clean.y, "failover result must be bit-exact ({scheduler:?})");
         let rec = out.recovery.expect("a killed tile must trigger recovery");
         assert_eq!(rec.health[3], TileHealth::Quarantined);
         assert_eq!(rec.quarantined(), vec![3]);
@@ -328,17 +328,17 @@ proptest! {
                 kills.push((1 + splitmix(&mut state) % 400, t));
             }
         }
-        let cfg_eq = robust_cfg().with_event_queue(true);
-        let cfg_ls = robust_cfg().with_event_queue(false);
+        let cfg_eq = robust_cfg().with_scheduler(Scheduler::EventQueue);
+        let cfg_pc = robust_cfg().with_scheduler(Scheduler::PerCycle);
         let clean = runner::run_spmv_fabric(&cfg_eq, fab, &m, &v);
         let base = runner::run_spmv_baseline(&cfg_eq, &m, &v);
         let out = runner::run_spmv_fabric_with_plan(&cfg_eq, fab, &m, &v, kill_plan(&kills));
-        let out_ls = runner::run_spmv_fabric_with_plan(&cfg_ls, fab, &m, &v, kill_plan(&kills));
+        let out_pc = runner::run_spmv_fabric_with_plan(&cfg_pc, fab, &m, &v, kill_plan(&kills));
         // Scheduler invariance: identical stats, result and failover
-        // decisions under the event queue and the lock-step oracle.
-        prop_assert_eq!(&out.stats, &out_ls.stats);
-        prop_assert_eq!(&out.y, &out_ls.y);
-        prop_assert_eq!(&out.recovery, &out_ls.recovery);
+        // decisions under the event queue and the per-cycle oracle.
+        prop_assert_eq!(&out.stats, &out_pc.stats);
+        prop_assert_eq!(&out.y, &out_pc.y);
+        prop_assert_eq!(&out.recovery, &out_pc.recovery);
         // Bit-exact output on the survivors.
         prop_assert_eq!(&out.y, &clean.y);
         let merged = out.stats.merged();

@@ -7,7 +7,7 @@
 use hht::fault::FaultConfig;
 use hht::prof::{classify, BenchReport, CpiStack, FabricCpi, HostProfile};
 use hht::sparse::generate;
-use hht::system::config::{SystemConfig, TraceConfig};
+use hht::system::config::{Scheduler, SystemConfig, TraceConfig};
 use hht::system::{runner, FabricConfig, RunOutput};
 use proptest::prelude::*;
 
@@ -68,8 +68,8 @@ proptest! {
     ) {
         let s = sparsity_pct as f64 / 100.0;
         let base = SystemConfig::paper_default();
-        let skip = run_kernel(&base.with_cycle_skip(true), kernel, n, s, seed);
-        let percycle = run_kernel(&base.with_cycle_skip(false), kernel, n, s, seed);
+        let skip = run_kernel(&base.with_scheduler(Scheduler::EventQueue), kernel, n, s, seed);
+        let percycle = run_kernel(&base.with_scheduler(Scheduler::PerCycle), kernel, n, s, seed);
         let a = stack_of(&skip, "skip");
         let b = stack_of(&percycle, "per-cycle");
         prop_assert_eq!(a, b, "CPI stack must not depend on the scheduler mode");
@@ -156,26 +156,72 @@ fn profiling_is_bit_identical_with_tracing_on_and_off() {
 }
 
 /// The skip spans recorded for the trace cover exactly the skipped cycles,
-/// and the per-cycle scheduler records none.
+/// and the per-cycle scheduler records none — on the paper's 1-cycle SRAM,
+/// where the two tiles seldom park at once, and with 8-cycle words, where
+/// most cycles are jumped over.
 #[test]
 fn skip_spans_partition_the_skipped_cycles() {
-    let cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
     let m = generate::random_csr(48, 48, 0.6, 91);
     let v = generate::random_dense_vector(48, 92);
-    let out = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(2), &m, &v);
-    assert!(out.sched.skipped_cycles > 0, "cycle-skip must fire on an HHT run");
-    let span_total: u64 = out.skip_spans.iter().map(|s| s.len()).sum();
-    assert_eq!(span_total, out.sched.skipped_cycles);
-    assert_eq!(out.skip_spans.len() as u64, out.sched.skip_spans);
-    for w in out.skip_spans.windows(2) {
-        assert!(w[0].end <= w[1].start, "spans must be ordered and disjoint");
+    for word_cycles in [1u64, 8] {
+        let cfg = SystemConfig::paper_default()
+            .with_ram_word_cycles(word_cycles)
+            .with_trace(TraceConfig::enabled());
+        let out = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(2), &m, &v);
+        assert!(out.sched.skipped_cycles > 0, "cycle-skip must fire ({word_cycles}-cycle words)");
+        let span_total: u64 = out.skip_spans.iter().map(|s| s.len()).sum();
+        assert_eq!(span_total, out.sched.skipped_cycles);
+        assert_eq!(out.skip_spans.len() as u64, out.sched.skip_spans);
+        for w in out.skip_spans.windows(2) {
+            assert!(w[0].end <= w[1].start, "spans must be ordered and disjoint");
+        }
+        let percycle = runner::run_spmv_fabric(
+            &cfg.with_scheduler(Scheduler::PerCycle),
+            FabricConfig::scaled(2),
+            &m,
+            &v,
+        );
+        assert!(percycle.skip_spans.is_empty());
+        assert_eq!(percycle.sched.skipped_cycles, 0);
+        // Simulated results are scheduler-independent even though sched
+        // differs.
+        assert_eq!(out.stats, percycle.stats, "{word_cycles}-cycle words");
     }
-    let percycle =
-        runner::run_spmv_fabric(&cfg.with_cycle_skip(false), FabricConfig::scaled(2), &m, &v);
-    assert!(percycle.skip_spans.is_empty());
-    assert_eq!(percycle.sched.skipped_cycles, 0);
-    // Simulated results are scheduler-independent even though sched differs.
-    assert_eq!(out.stats, percycle.stats);
+}
+
+/// Host-side scheduler accounting is deterministic, so it is pinned: a
+/// change to the event queue's probe policy that inflates stepping (most
+/// costly behind slow DRAM, where nearly every step probes) or loses parks
+/// on the paper's machine shows up here as a diff. The stepped, skipped
+/// and park counts equal those of the eager-probing scheduler this policy
+/// replaced.
+#[test]
+fn scheduler_accounting_is_pinned() {
+    use hht::mem::DramConfig;
+    use hht::system::SchedStats;
+    let totals = |out: &runner::FabricRunOutput| {
+        let sum = |f: fn(&hht::system::TileSchedStats) -> u64| out.tile_sched.iter().map(f).sum();
+        (sum(|t| t.pops), sum(|t| t.probes), sum(|t| t.parks))
+    };
+    let m = generate::random_csr(64, 64, 0.9, 11);
+    let v = generate::random_dense_vector(64, 12);
+    let cfg = SystemConfig::paper_default().with_dram(DramConfig::slow_300ns());
+    let dram = runner::run_spmv_fabric(&cfg, FabricConfig::single(), &m, &v);
+    assert_eq!(
+        dram.sched,
+        SchedStats { stepped_cycles: 3573, skipped_cycles: 248_027, skip_spans: 1712 }
+    );
+    assert_eq!(totals(&dram), (3573, 3525, 1712), "(pops, probes, parks)");
+
+    let m = generate::random_csr(128, 128, 0.9, 13);
+    let v = generate::random_dense_vector(128, 14);
+    let paper =
+        runner::run_spmv_fabric(&SystemConfig::paper_default(), FabricConfig::scaled(16), &m, &v);
+    assert_eq!(
+        paper.sched,
+        SchedStats { stepped_cycles: 1070, skipped_cycles: 14, skip_spans: 10 }
+    );
+    assert_eq!(totals(&paper), (14_463, 139, 125), "(pops, probes, parks)");
 }
 
 /// An overflowing event ring is *reported*, not silent: the drop counters
