@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hht_sim::config::CacheGeometry;
-use hht_sparse::{generate, SparseFormat};
+use hht_sparse::generate;
 use hht_system::config::SystemConfig;
-use hht_system::{runner, tiling};
+use hht_system::{runner, tiling, Job, Kernel};
 
 const N: usize = 64;
 
@@ -14,8 +14,10 @@ fn bench_programmable(c: &mut Criterion) {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(N, N, 0.5, 61);
     let v = generate::random_dense_vector(N, 62);
-    let asic = runner::run_spmv_hht(&cfg, &m, &v);
-    let prog = runner::run_spmv_hht_programmable(&cfg, &m, &v);
+    let (asic_job, prog_job) =
+        (Job::new(Kernel::SpmvHht, &m, &v), Job::new(Kernel::SpmvHhtProgrammable, &m, &v));
+    let asic = runner::run(&cfg, &asic_job).unwrap();
+    let prog = runner::run(&cfg, &prog_job).unwrap();
     println!(
         "programmable: asic={} prog={} ratio={:.2}",
         asic.stats.cycles,
@@ -24,9 +26,9 @@ fn bench_programmable(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("programmable_hht");
     group.sample_size(10);
-    group.bench_function("asic", |b| b.iter(|| runner::run_spmv_hht(&cfg, &m, &v).stats.cycles));
+    group.bench_function("asic", |b| b.iter(|| runner::run(&cfg, &asic_job).unwrap().stats.cycles));
     group.bench_function("microprogram", |b| {
-        b.iter(|| runner::run_spmv_hht_programmable(&cfg, &m, &v).stats.cycles)
+        b.iter(|| runner::run(&cfg, &prog_job).unwrap().stats.cycles)
     });
     group.finish();
 }
@@ -51,20 +53,21 @@ fn bench_crossover(c: &mut Criterion) {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(N, N, 0.2, 81);
     let v = generate::random_dense_vector(N, 82);
-    let dense = m.to_dense();
+    let [dense_job, base_job, hht_job] =
+        [Kernel::DenseMatvec, Kernel::SpmvBaseline, Kernel::SpmvHht].map(|k| Job::new(k, &m, &v));
     println!(
         "crossover @20%: dense={} sparse={} hht={}",
-        runner::run_dense_matvec(&cfg, &dense, &v).stats.cycles,
-        runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles,
-        runner::run_spmv_hht(&cfg, &m, &v).stats.cycles
+        runner::run(&cfg, &dense_job).unwrap().stats.cycles,
+        runner::run(&cfg, &base_job).unwrap().stats.cycles,
+        runner::run(&cfg, &hht_job).unwrap().stats.cycles
     );
     let mut group = c.benchmark_group("crossover");
     group.sample_size(10);
     group.bench_function("dense_matvec", |b| {
-        b.iter(|| runner::run_dense_matvec(&cfg, &dense, &v).stats.cycles)
+        b.iter(|| runner::run(&cfg, &dense_job).unwrap().stats.cycles)
     });
     group.bench_function("sparse_hht", |b| {
-        b.iter(|| runner::run_spmv_hht(&cfg, &m, &v).stats.cycles)
+        b.iter(|| runner::run(&cfg, &hht_job).unwrap().stats.cycles)
     });
     group.finish();
 }
@@ -74,19 +77,16 @@ fn bench_l1d(c: &mut Criterion) {
     let cached = slow.with_l1d(CacheGeometry::embedded_4k());
     let m = generate::random_csr(N, N, 0.5, 91);
     let v = generate::random_dense_vector(N, 92);
+    let job = Job::new(Kernel::SpmvBaseline, &m, &v);
     println!(
         "l1d @4-cycle mem: uncached={} cached={}",
-        runner::run_spmv_baseline(&slow, &m, &v).stats.cycles,
-        runner::run_spmv_baseline(&cached, &m, &v).stats.cycles
+        runner::run(&slow, &job).unwrap().stats.cycles,
+        runner::run(&cached, &job).unwrap().stats.cycles
     );
     let mut group = c.benchmark_group("l1d");
     group.sample_size(10);
-    group.bench_function("uncached", |b| {
-        b.iter(|| runner::run_spmv_baseline(&slow, &m, &v).stats.cycles)
-    });
-    group.bench_function("cached", |b| {
-        b.iter(|| runner::run_spmv_baseline(&cached, &m, &v).stats.cycles)
-    });
+    group.bench_function("uncached", |b| b.iter(|| runner::run(&slow, &job).unwrap().stats.cycles));
+    group.bench_function("cached", |b| b.iter(|| runner::run(&cached, &job).unwrap().stats.cycles));
     group.finish();
 }
 

@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hht_sparse::generate;
 use hht_system::config::{Scheduler, SystemConfig};
-use hht_system::{runner, FabricConfig};
+use hht_system::{runner, FabricConfig, Job, Kernel};
 
 const N: usize = 192;
 
@@ -30,6 +30,7 @@ fn bench_fabric_throughput(c: &mut Criterion) {
     group.sample_size(10);
     let m = generate::random_csr(N, N, 0.5, 21);
     let v = generate::random_dense_vector(N, 22);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
     for (mem, word_cycles) in [("sram1", 1u64), ("slow64", 64)] {
         let base = SystemConfig::paper_default().with_ram_word_cycles(word_cycles);
         for tiles in [4usize, 8, 16] {
@@ -37,12 +38,12 @@ fn bench_fabric_throughput(c: &mut Criterion) {
             for (mode, cfg) in
                 [("event_queue", base), ("percycle", base.with_scheduler(Scheduler::PerCycle))]
             {
-                let cycles = runner::run_spmv_fabric(&cfg, fab, &m, &v).stats.cycles;
+                let cycles = runner::run_fabric(&cfg, fab, &job).unwrap().stats.cycles;
                 group.throughput(Throughput::Elements(cycles));
                 group.bench_with_input(
                     BenchmarkId::new(format!("spmv/{mode}"), format!("{mem}/t{tiles}")),
                     &cfg,
-                    |b, cfg| b.iter(|| runner::run_spmv_fabric(cfg, fab, &m, &v).stats.cycles),
+                    |b, cfg| b.iter(|| runner::run_fabric(cfg, fab, &job).unwrap().stats.cycles),
                 );
             }
         }

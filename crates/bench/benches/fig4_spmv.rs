@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hht_sparse::generate;
 use hht_system::config::SystemConfig;
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 
 const N: usize = 64;
 
@@ -18,9 +18,11 @@ fn bench_fig4(c: &mut Criterion) {
         let m = generate::random_csr(N, N, sparsity, 4);
         let v = generate::random_dense_vector(N, 5);
         // Print the simulated-cycle series once (the actual figure data).
-        let base = runner::run_spmv_baseline(&cfg, &m, &v);
-        let h1 = runner::run_spmv_hht(&cfg.with_buffers(1), &m, &v);
-        let h2 = runner::run_spmv_hht(&cfg.with_buffers(2), &m, &v);
+        let (base_job, hht_job) =
+            (Job::new(Kernel::SpmvBaseline, &m, &v), Job::new(Kernel::SpmvHht, &m, &v));
+        let base = runner::run(&cfg, &base_job).unwrap();
+        let h1 = runner::run(&cfg.with_buffers(1), &hht_job).unwrap();
+        let h2 = runner::run(&cfg.with_buffers(2), &hht_job).unwrap();
         println!(
             "fig4 point: sparsity={sparsity} base={} hht1={} hht2={} speedup2={:.3} cpu_wait={:.4}",
             base.stats.cycles,
@@ -32,12 +34,12 @@ fn bench_fig4(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("baseline", format!("s{sparsity}")),
             &sparsity,
-            |b, _| b.iter(|| runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles),
+            |b, _| b.iter(|| runner::run(&cfg, &base_job).unwrap().stats.cycles),
         );
         group.bench_with_input(
             BenchmarkId::new("hht_2buf", format!("s{sparsity}")),
             &sparsity,
-            |b, _| b.iter(|| runner::run_spmv_hht(&cfg, &m, &v).stats.cycles),
+            |b, _| b.iter(|| runner::run(&cfg, &hht_job).unwrap().stats.cycles),
         );
     }
     group.finish();

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hht_sparse::generate;
 use hht_system::config::SystemConfig;
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 
 const N: usize = 64;
 
@@ -14,9 +14,13 @@ fn bench_fig5(c: &mut Criterion) {
     for sparsity in [0.1, 0.5, 0.9] {
         let m = generate::random_csr(N, N, sparsity, 14);
         let x = generate::random_sparse_vector(N, sparsity, 15);
-        let base = runner::run_spmspv_baseline(&cfg, &m, &x);
-        let v1 = runner::run_spmspv_hht_v1(&cfg, &m, &x);
-        let v2 = runner::run_spmspv_hht_v2(&cfg, &m, &x);
+        let jobs = [
+            ("baseline", Kernel::SpmspvBaseline),
+            ("variant1", Kernel::SpmspvHhtV1),
+            ("variant2", Kernel::SpmspvHhtV2),
+        ]
+        .map(|(name, kernel)| (name, Job::new(kernel, &m, &x)));
+        let [base, v1, v2] = jobs.each_ref().map(|(_, job)| runner::run(&cfg, job).unwrap());
         println!(
             "fig5 point: sparsity={sparsity} base={} v1={} v2={} wait_v1={:.4} wait_v2={:.4}",
             base.stats.cycles,
@@ -25,21 +29,13 @@ fn bench_fig5(c: &mut Criterion) {
             v1.stats.cpu_wait_frac(),
             v2.stats.cpu_wait_frac()
         );
-        group.bench_with_input(
-            BenchmarkId::new("baseline", format!("s{sparsity}")),
-            &sparsity,
-            |b, _| b.iter(|| runner::run_spmspv_baseline(&cfg, &m, &x).stats.cycles),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("variant1", format!("s{sparsity}")),
-            &sparsity,
-            |b, _| b.iter(|| runner::run_spmspv_hht_v1(&cfg, &m, &x).stats.cycles),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("variant2", format!("s{sparsity}")),
-            &sparsity,
-            |b, _| b.iter(|| runner::run_spmspv_hht_v2(&cfg, &m, &x).stats.cycles),
-        );
+        for (name, job) in &jobs {
+            group.bench_with_input(
+                BenchmarkId::new(*name, format!("s{sparsity}")),
+                &sparsity,
+                |b, _| b.iter(|| runner::run(&cfg, job).unwrap().stats.cycles),
+            );
+        }
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hht_sparse::{generate, SparseFormat};
 use hht_system::config::SystemConfig;
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 use hht_workloads::dnn;
 
 fn bench_fig9(c: &mut Criterion) {
@@ -14,8 +14,8 @@ fn bench_fig9(c: &mut Criterion) {
     for layer in dnn::suite_scaled(16) {
         let m = layer.weights();
         let v = generate::random_dense_vector(m.cols(), layer.seed ^ 0x9);
-        let base = runner::run_spmv_baseline(&cfg, &m, &v);
-        let hht = runner::run_spmv_hht(&cfg, &m, &v);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+        let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         println!(
             "fig9 point: net={} base={} hht={} speedup={:.3}",
             layer.network,
@@ -26,7 +26,7 @@ fn bench_fig9(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hht", &layer.network), &layer, |b, l| {
             let m = l.weights();
             let v = generate::random_dense_vector(m.cols(), l.seed ^ 0x9);
-            b.iter(|| runner::run_spmv_hht(&cfg, &m, &v).stats.cycles)
+            b.iter(|| runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap().stats.cycles)
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hht_sparse::{generate, SparseFormat};
 use hht_system::config::{SystemConfig, TraceConfig};
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 
 fn obs_overhead(c: &mut Criterion) {
     let m = generate::random_csr(96, 96, 0.6, 97);
@@ -23,7 +23,7 @@ fn obs_overhead(c: &mut Criterion) {
     ];
     for (name, cfg) in configs {
         group.bench_function(BenchmarkId::new("spmv_hht", name), |b| {
-            b.iter(|| runner::run_spmv_hht(&cfg, &m, &v).stats.cycles)
+            b.iter(|| runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap().stats.cycles)
         });
     }
     group.finish();

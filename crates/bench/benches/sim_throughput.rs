@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hht_sparse::generate;
 use hht_system::config::{Scheduler, SystemConfig};
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 
 const N: usize = 192;
 
@@ -39,20 +39,19 @@ fn bench_sim_throughput(c: &mut Criterion) {
                     .with_ram_word_cycles(word_cycles)
                     .with_scheduler(scheduler);
                 let param = format!("{mem}/s{sparsity}");
-                let base_cycles = runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles;
-                let hht_cycles = runner::run_spmv_hht(&cfg, &m, &v).stats.cycles;
-                group.throughput(Throughput::Elements(base_cycles));
-                group.bench_with_input(
-                    BenchmarkId::new(format!("spmv_baseline/{mode}"), &param),
-                    &cfg,
-                    |b, cfg| b.iter(|| runner::run_spmv_baseline(cfg, &m, &v).stats.cycles),
-                );
-                group.throughput(Throughput::Elements(hht_cycles));
-                group.bench_with_input(
-                    BenchmarkId::new(format!("spmv_hht/{mode}"), &param),
-                    &cfg,
-                    |b, cfg| b.iter(|| runner::run_spmv_hht(cfg, &m, &v).stats.cycles),
-                );
+                for (name, kernel) in
+                    [("spmv_baseline", Kernel::SpmvBaseline), ("spmv_hht", Kernel::SpmvHht)]
+                {
+                    let job = Job::new(kernel, &m, &v);
+                    group.throughput(Throughput::Elements(
+                        runner::run(&cfg, &job).unwrap().stats.cycles,
+                    ));
+                    group.bench_with_input(
+                        BenchmarkId::new(format!("{name}/{mode}"), &param),
+                        &cfg,
+                        |b, cfg| b.iter(|| runner::run(cfg, &job).unwrap().stats.cycles),
+                    );
+                }
             }
         }
     }

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hht_isa::{asm::assemble, decode, encode};
 use hht_sparse::{generate, kernels};
 use hht_system::config::SystemConfig;
-use hht_system::runner;
+use hht_system::{runner, Job, Kernel};
 
 fn bench_isa(c: &mut Criterion) {
     let program = assemble(
@@ -43,11 +43,11 @@ fn bench_simulator(c: &mut Criterion) {
     let m = generate::random_csr(64, 64, 0.5, 17);
     let v = generate::random_dense_vector(64, 18);
     // Simulated cycles per run, for a cycles/host-second figure of merit.
-    let cycles = runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles;
+    let cycles = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap().stats.cycles;
     let mut group = c.benchmark_group("simulator");
     group.throughput(Throughput::Elements(cycles));
     group.bench_function("spmv_baseline_64", |b| {
-        b.iter(|| runner::run_spmv_baseline(&cfg, &m, &v).stats.cycles)
+        b.iter(|| runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap().stats.cycles)
     });
     group.finish();
 }

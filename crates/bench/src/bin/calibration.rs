@@ -7,7 +7,7 @@
 //! ```
 
 use hht_system::config::SystemConfig;
-use hht_system::experiments::{self, SpMSpVKind};
+use hht_system::{experiments, Kernel};
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(256);
@@ -37,8 +37,8 @@ fn main() {
         "sparsity", "base_cyc", "spd(v1)", "spd(v2)", "wait(v1)", "wait(v2)"
     );
     for s in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let v1 = experiments::spmspv_point(&cfg, n, s, 2, SpMSpVKind::V1);
-        let v2 = experiments::spmspv_point(&cfg, n, s, 2, SpMSpVKind::V2);
+        let v1 = experiments::spmspv_point(&cfg, n, s, 2, Kernel::SpmspvHhtV1);
+        let v2 = experiments::spmspv_point(&cfg, n, s, 2, Kernel::SpmspvHhtV2);
         println!(
             "{:>9.1} {:>12} {:>10.3} {:>10.3} {:>10.4} {:>10.4}",
             s,

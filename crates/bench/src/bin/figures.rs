@@ -56,6 +56,7 @@ use hht_bench::format::table;
 use hht_energy::{ClockSpeed, ProcessNode};
 use hht_system::config::SystemConfig;
 use hht_system::experiments::{self, PAPER_SPARSITIES};
+use hht_system::{runner, Job, Kernel};
 
 /// Remove `flag <value>` from `args`, returning the value when present.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -201,7 +202,7 @@ fn export_observability(
     let traced = cfg.with_trace(TraceConfig::enabled());
     let m = hht_sparse::generate::random_csr(n, n, 0.5, 0xB5);
     let v = hht_sparse::generate::random_dense_vector(n, 0xB6);
-    let out = hht_system::runner::run_spmv_hht(&traced, &m, &v);
+    let out = runner::run(&traced, &Job::new(Kernel::SpmvHht, &m, &v)).expect("figure job");
     let snap = out.stats.snapshot().with_drops(out.dropped);
     snap.validate().expect("stall histogram must sum exactly to the wait counters");
     if let Some(path) = metrics_out {
@@ -241,8 +242,8 @@ fn bench_observatory(
         let m = hht_sparse::generate::random_csr(n, n, 0.5, 0xBE);
         let v = hht_sparse::generate::random_dense_vector(n, 0xBF);
         let layout_secs = sw.lap();
-        let base = hht_system::runner::run_spmv_baseline(&c, &m, &v);
-        let hht = hht_system::runner::run_spmv_hht(&c, &m, &v);
+        let base = runner::run(&c, &Job::new(Kernel::SpmvBaseline, &m, &v)).expect("figure job");
+        let hht = runner::run(&c, &Job::new(Kernel::SpmvHht, &m, &v)).expect("figure job");
         let run_secs = sw.lap();
         let stack = CpiStack::from_stats(&hht.stats)
             .unwrap_or_else(|e| panic!("{name}: CPI attribution failed: {e}"));
@@ -340,9 +341,10 @@ fn fabric_throughput_entry(
     let cfg = SystemConfig::paper_default().with_ram_word_cycles(ram_word_cycles);
     let m = hht_sparse::generate::random_csr(n, n, sparsity, 42);
     let v = hht_sparse::generate::random_dense_vector(n, 7);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
     let run = |scheduler| {
         let c = cfg.with_scheduler(scheduler);
-        let (mut fabric, _) = hht_system::runner::build_spmv_fabric(&c, fab, &m, &v);
+        let (mut fabric, _) = runner::build_fabric(&c, fab, &job).expect("figure job");
         let t0 = Instant::now();
         let stats = fabric.run().expect("the pinned fabric SpMV completes");
         let secs = t0.elapsed().as_secs_f64();
@@ -409,9 +411,10 @@ fn failover_entry() -> hht_prof::FailoverBenchConfig {
     let cfg = SystemConfig::paper_default().with_recovery(true).with_hht_timeout(64);
     let m = hht_sparse::generate::random_csr(256, 256, 0.05, 42);
     let v = hht_sparse::generate::random_dense_vector(256, 7);
-    let clean = hht_system::runner::run_spmv_fabric(&cfg, fab, &m, &v);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
+    let clean = runner::run_fabric(&cfg, fab, &job).expect("figure job");
     let plan = FaultPlan::new(vec![FaultEvent::on_tile(200, FaultKind::TileKill, 3)]);
-    let out = hht_system::runner::run_spmv_fabric_with_plan(&cfg, fab, &m, &v, plan);
+    let out = runner::run_fabric(&cfg, fab, &job.with_plan(plan)).expect("figure job");
     assert_eq!(out.y, clean.y, "degraded run must stay bit-exact");
     let rec = out.recovery.as_ref().expect("the kill must trigger recovery");
     let report = hht_prof::FabricRecoveryReport::new(&out.stats, rec)
@@ -637,11 +640,12 @@ fn chaos_campaign(cfg: &SystemConfig, n: usize, metrics_out: Option<String>) {
     let mut records = Vec::new();
     for &(tiles, kills) in scenarios {
         let fab = FabricConfig::scaled(tiles);
-        let clean = hht_system::runner::run_spmv_fabric(&robust, fab, &m, &v);
+        let job = Job::new(Kernel::SpmvHht, &m, &v);
+        let clean = runner::run_fabric(&robust, fab, &job).expect("figure job");
         let plan = FaultPlan::new(
             kills.iter().map(|&(c, t)| FaultEvent::on_tile(c, FaultKind::TileKill, t)).collect(),
         );
-        let out = hht_system::runner::run_spmv_fabric_with_plan(&robust, fab, &m, &v, plan);
+        let out = runner::run_fabric(&robust, fab, &job.with_plan(plan)).expect("figure job");
         assert_eq!(out.y, clean.y, "degraded run must stay bit-exact");
         let rec = out.recovery.as_ref().expect("kills must trigger recovery");
         let report = hht_prof::FabricRecoveryReport::new(&out.stats, rec)
@@ -707,7 +711,8 @@ fn fault_report(cfg: &SystemConfig, n: usize, seed: Option<String>, plan_spec: O
     let m = hht_sparse::generate::random_csr(n, n, 0.5, 0xFA);
     let v = hht_sparse::generate::random_dense_vector(n, 0xFB);
     let robust = cfg.with_recovery(true).with_hht_timeout(64);
-    let clean = hht_system::runner::run_spmv_hht(&robust, &m, &v);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
+    let clean = runner::run(&robust, &job).expect("figure job");
     let (what, out) = match plan_spec {
         Some(spec) => {
             let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| {
@@ -716,7 +721,7 @@ fn fault_report(cfg: &SystemConfig, n: usize, seed: Option<String>, plan_spec: O
             });
             (
                 format!("plan `{spec}`"),
-                hht_system::runner::run_spmv_hht_with_plan(&robust, &m, &v, plan),
+                runner::run(&robust, &job.with_plan(plan)).expect("figure job"),
             )
         }
         None => {
@@ -727,7 +732,7 @@ fn fault_report(cfg: &SystemConfig, n: usize, seed: Option<String>, plan_spec: O
             });
             (
                 format!("seed {seed}"),
-                hht_system::runner::run_spmv_hht(&robust.with_fault_seed(seed), &m, &v),
+                runner::run(&robust.with_fault_seed(seed), &job).expect("figure job"),
             )
         }
     };
@@ -793,7 +798,7 @@ fn fig4(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 4: HHT speedup for SpMV ({n}x{n})"),
         "1-buffer avg 1.70 (1.67-1.72); 2-buffer avg 1.73 (1.71-1.75); gains shrink at high sparsity",
     );
-    let sweep = experiments::spmv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -813,7 +818,7 @@ fn fig5(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 5: HHT speedup for SpMSpV ({n}x{n})"),
         "variant-1 avg 2.47 (1.48 to 4.0+, rising with sparsity); variant-2 avg 3.05 (2.5-3.52); v2 wins below ~80% sparsity, v1 above",
     );
-    let sweep = experiments::spmspv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmspv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -832,7 +837,7 @@ fn fig6(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 6: CPU wait-cycle fraction for SpMV ({n}x{n})"),
         "with the ASIC HHT the application CPU rarely waits",
     );
-    let sweep = experiments::spmv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -849,7 +854,7 @@ fn fig7(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 7: CPU wait-cycle fraction for SpMSpV ({n}x{n})"),
         "variant-1 idles the CPU a significant fraction (2 buffers help little); variant-2 greatly reduced",
     );
-    let sweep = experiments::spmspv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmspv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -868,7 +873,7 @@ fn fig8(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 8: sensitivity to vector width ({n}x{n}, 2 buffers)"),
         "speedup 1.77-1.81 scalar, 1.51-1.62 VL=4, 1.71-1.75 VL=8",
     );
-    let sweep = experiments::vector_width_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::vector_width_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -883,7 +888,7 @@ fn fig8(cfg: &SystemConfig, n: usize, jobs: usize) {
 
 fn fig9(cfg: &SystemConfig, jobs: usize) {
     header("Fig. 9: DNN fully-connected layers", "1.53x on DenseNet up to 1.92x on VGG19");
-    let results = experiments::dnn_suite_jobs(cfg, jobs);
+    let results = experiments::dnn_suite(cfg, jobs);
     let rows = results
         .iter()
         .map(|r| {
@@ -979,7 +984,7 @@ fn motivation(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Sec. 2 motivation: metadata overhead of Algorithm 1 ({n}x{n})"),
         "indirect v[cols[.]] accesses are cache/prefetch-hostile and inflate the dynamic instruction count",
     );
-    let pts = experiments::motivation_jobs(cfg, n, jobs);
+    let pts = experiments::motivation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1014,7 +1019,7 @@ fn crossover(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Sec. 6: dense-expansion crossover ({n}x{n})"),
         "[40]/[23]: at lower sparsities, expanding sparse data to dense can improve performance; the HHT moves the crossover toward lower sparsity",
     );
-    let pts = experiments::crossover_jobs(cfg, n, jobs);
+    let pts = experiments::crossover(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1042,7 +1047,7 @@ fn ablate_baseline(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: SpMSpV baseline choice ({n}x{n})"),
         "row-merge (the Fig. 5 baseline) vs work-efficient CSC scatter [43]; HHT speedups depend on which baseline the reader assumes",
     );
-    let pts = experiments::baseline_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::baseline_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1071,7 +1076,7 @@ fn ablate_programmable(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: ASIC vs programmable HHT back-end ({n}x{n}, SpMV)"),
         "Sec. 7 future work: a programmable HHT using a simple RISCV-like core trades throughput for format flexibility",
     );
-    let pts = experiments::programmable_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::programmable_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1096,7 +1101,7 @@ fn ablate_tiling(cfg: &SystemConfig, n: usize) {
     );
     let m = hht_sparse::generate::random_csr(n, n, 0.5, 0x71);
     let v = hht_sparse::generate::random_dense_vector(n, 0x72);
-    let untiled = hht_system::runner::run_spmv_hht(cfg, &m, &v);
+    let untiled = runner::run(cfg, &Job::new(Kernel::SpmvHht, &m, &v)).expect("figure job");
     let mut rows = vec![vec![
         "untiled".to_string(),
         "1".into(),
@@ -1123,8 +1128,9 @@ fn conv(cfg: &SystemConfig, jobs: usize) {
     let rows = hht_exec::parallel_map(jobs, hht_workloads::conv::suite(), |_, (name, layer)| {
         let w = layer.lowered_weights();
         let patch = layer.input_patch(0);
-        let base = hht_system::runner::run_spmv_baseline(cfg, &w, &patch);
-        let hht = hht_system::runner::run_spmv_hht(cfg, &w, &patch);
+        let base =
+            runner::run(cfg, &Job::new(Kernel::SpmvBaseline, &w, &patch)).expect("figure job");
+        let hht = runner::run(cfg, &Job::new(Kernel::SpmvHht, &w, &patch)).expect("figure job");
         vec![
             name,
             format!("{}x{}", layer.out_channels, layer.patch_len()),
@@ -1155,8 +1161,8 @@ fn ablate_cache(cfg: &SystemConfig, n: usize) {
             slow.with_l1d(CacheGeometry { size_bytes: 16384, assoc: 4, line_bytes: 32 }),
         ),
     ] {
-        let base = hht_system::runner::run_spmv_baseline(&c, &m, &v);
-        let hht = hht_system::runner::run_spmv_hht(&c, &m, &v);
+        let base = runner::run(&c, &Job::new(Kernel::SpmvBaseline, &m, &v)).expect("figure job");
+        let hht = runner::run(&c, &Job::new(Kernel::SpmvHht, &m, &v)).expect("figure job");
         rows.push(vec![
             name,
             base.stats.cycles.to_string(),
@@ -1221,7 +1227,7 @@ fn ablate_format(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: CSR vs SMASH HHT engines ({n}x{n})"),
         "Sec. 6: under SMASH the HHT performs more work than the CPU, causing the CPU to idle",
     );
-    let pts = experiments::format_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::format_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1249,8 +1255,9 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
     use hht_system::FabricConfig;
     let m = hht_sparse::generate::random_csr(n, n, 0.9, 0xC1);
     let v = hht_sparse::generate::random_dense_vector(n, 0xC2);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
     let outs = hht_exec::parallel_map(jobs, vec![1usize, 2, 4, 8, 16], |_, t| {
-        (t, hht_system::runner::run_spmv_fabric(cfg, FabricConfig::scaled(t), &m, &v))
+        (t, runner::run_fabric(cfg, FabricConfig::scaled(t), &job).expect("figure job"))
     });
     let base = outs[0].1.stats.cycles;
     let mut rows = Vec::new();
@@ -1386,13 +1393,14 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
     );
     let m = hht_sparse::generate::random_csr(n, n, 0.9, 0xD1);
     let v = hht_sparse::generate::random_dense_vector(n, 0xD2);
+    let job = Job::new(Kernel::SpmvHht, &m, &v);
     // One tile over the 8-bank scaled shape: with a single bank, any
     // same-cycle CPU/HHT collision is a bank conflict before the grant
     // budget is even consulted, which would hide the bandwidth axis.
     let shape = FabricConfig::scaled(1);
     // Reference run on the raw SharedMemory path (cfg.dram = None): the
     // bit-identity baseline for the flat corner and the slowdown anchor.
-    let reference = hht_system::runner::run_spmv_fabric(cfg, shape, &m, &v);
+    let reference = runner::run_fabric(cfg, shape, &job).expect("figure job");
     let lats = [("flat", 0u64, 0u64), ("near", 8, 24), ("far-300ns", 110, 330)];
     let mut grid = Vec::new();
     for (lat, hit, miss) in lats {
@@ -1411,7 +1419,7 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             .with_window(window)
             .with_bandwidth(budget);
         let c = cfg.with_dram(dc);
-        let out = hht_system::runner::run_spmv_fabric(&c, shape, &m, &v);
+        let out = runner::run_fabric(&c, shape, &job).expect("figure job");
         (lat, hit, miss, window, budget, out)
     });
     let mut rows = Vec::new();
@@ -1500,7 +1508,7 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
         [1usize, 2, 4].iter().flat_map(|&t| [(t, 0u32), (t, 1)]).collect();
     let wall_outs = hht_exec::parallel_map(jobs, wall_grid, |_, (tiles, budget)| {
         let c = cfg.with_dram(DramConfig::flat().with_bandwidth(budget));
-        let out = hht_system::runner::run_spmv_fabric(&c, FabricConfig::scaled(tiles), &m, &v);
+        let out = runner::run_fabric(&c, FabricConfig::scaled(tiles), &job).expect("figure job");
         (tiles, budget, out)
     });
     let mut wall_rows = Vec::new();
@@ -1576,8 +1584,8 @@ fn suite(cfg: &SystemConfig, n: usize, jobs: usize) {
     let rows = hht_exec::parallel_map(jobs, hht_workloads::suite::suite(n), |_, sm| {
         let m = sm.matrix();
         let v = hht_sparse::generate::random_dense_vector(m.cols(), sm.seed ^ 0xEE);
-        let base = hht_system::runner::run_spmv_baseline(cfg, &m, &v);
-        let hht = hht_system::runner::run_spmv_hht(cfg, &m, &v);
+        let base = runner::run(cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).expect("figure job");
+        let hht = runner::run(cfg, &Job::new(Kernel::SpmvHht, &m, &v)).expect("figure job");
         vec![
             sm.name.clone(),
             format!("{:.1}%", m.sparsity() * 100.0),

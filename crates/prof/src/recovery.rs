@@ -141,7 +141,7 @@ mod tests {
     use hht_sparse::generate;
     use hht_system::config::SystemConfig;
     use hht_system::fabric::FabricConfig;
-    use hht_system::runner;
+    use hht_system::{runner, Job, Kernel};
 
     fn robust() -> SystemConfig {
         SystemConfig::paper_default().with_hht_timeout(64).with_recovery(true)
@@ -152,8 +152,12 @@ mod tests {
         let m = generate::random_csr(48, 48, 0.5, 0xEC0);
         let v = generate::random_dense_vector(48, 0xEC1);
         let plan = FaultPlan::new(vec![FaultEvent::on_tile(100, FaultKind::TileKill, 1)]);
-        let out =
-            runner::run_spmv_fabric_with_plan(&robust(), FabricConfig::scaled(4), &m, &v, plan);
+        let out = runner::run_fabric(
+            &robust(),
+            FabricConfig::scaled(4),
+            &Job::new(Kernel::SpmvHht, &m, &v).with_plan(plan),
+        )
+        .unwrap();
         let rec = out.recovery.expect("kill triggers recovery");
         let report = FabricRecoveryReport::new(&out.stats, &rec).unwrap();
         assert_eq!(report.tiles.len(), 4);
@@ -172,7 +176,12 @@ mod tests {
     fn clean_run_report_is_all_healthy_or_absent() {
         let m = generate::random_csr(32, 32, 0.5, 0xEC2);
         let v = generate::random_dense_vector(32, 0xEC3);
-        let out = runner::run_spmv_fabric(&robust(), FabricConfig::scaled(2), &m, &v);
+        let out = runner::run_fabric(
+            &robust(),
+            FabricConfig::scaled(2),
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         assert!(out.recovery.is_none(), "clean runs carry no recovery record");
     }
 

@@ -7,7 +7,8 @@
 //! entry, which keeps eviction deterministic (no recency state that would
 //! make hit counts depend on timing).
 
-use crate::request::{KernelKind, Operand, Request};
+use crate::request::{Operand, Request};
+use hht_system::job::Kernel;
 use hht_system::runner::FabricRunOutput;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -17,19 +18,12 @@ use std::sync::Arc;
 /// variants (their outputs differ).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// [`KernelKind::tag`].
-    pub kernel: u8,
+    /// The requested kernel.
+    pub kernel: Kernel,
     /// Matrix content hash.
     pub matrix: u64,
     /// Operand content hash.
     pub operand: u64,
-}
-
-impl CacheKey {
-    /// Key for `request`, given its precomputed content hashes.
-    pub fn new(kernel: KernelKind, matrix: u64, operand: u64) -> Self {
-        CacheKey { kernel: kernel.tag(), matrix, operand }
-    }
 }
 
 /// Bounded FIFO map backing the replay tier.
@@ -167,8 +161,8 @@ mod tests {
         // Same matrix and operand, different kernel: the outputs differ,
         // so the replay tier must never serve one variant for the other.
         assert_ne!(
-            CacheKey::new(KernelKind::SpmspvV1, 7, 100),
-            CacheKey::new(KernelKind::SpmspvV2, 7, 100)
+            CacheKey { kernel: Kernel::SpmspvHhtV1, matrix: 7, operand: 100 },
+            CacheKey { kernel: Kernel::SpmspvHhtV2, matrix: 7, operand: 100 }
         );
     }
 }

@@ -19,8 +19,8 @@
 //!   results are bit-identical per job.
 //!
 //! Everything else is simulated cold: each pass builds a fresh image and
-//! fabric through the same `hht_system::runner` functions that
-//! [`naive_run_stream`] calls. Image build and layout cost ~0.1 ms
+//! fabric through the same `hht_system::runner::run_fabric` entry point
+//! that [`naive_run_stream`] calls. Image build and layout cost ~0.1 ms
 //! against ~16.5 ms to simulate a 512² 4-tile job, so they are not cached
 //! (DESIGN.md §4.14).
 //!
@@ -43,5 +43,5 @@ pub mod service;
 pub use batch::SpmvBatch;
 pub use cache::CacheKey;
 pub use report::{percentile_us, ServeBenchReport, ServeConfigReport, SERVE_SCHEMA};
-pub use request::{KernelKind, Operand, Request, Response, Served};
+pub use request::{Operand, Request, Response, Served};
 pub use service::{naive_run_stream, ServeStats, Service, ServiceConfig};

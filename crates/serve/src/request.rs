@@ -1,32 +1,10 @@
 //! Request/response types of the serving layer.
 
 use hht_sparse::{CsrMatrix, DenseVector, SparseFormat, SparseVector};
+use hht_system::job::{self, Job, Kernel};
 use hht_system::runner::FabricRunOutput;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which accelerated kernel a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Sparse matrix × dense vector.
-    Spmv,
-    /// Sparse matrix × sparse vector, variant 1 (sparse gather against
-    /// dense-indexed windows).
-    SpmspvV1,
-    /// Sparse matrix × sparse vector, variant 2 (intersection in the HHT).
-    SpmspvV2,
-}
-
-impl KernelKind {
-    /// Stable one-byte tag mixed into cache keys.
-    pub fn tag(self) -> u8 {
-        match self {
-            KernelKind::Spmv => 0,
-            KernelKind::SpmspvV1 => 1,
-            KernelKind::SpmspvV2 => 2,
-        }
-    }
-}
 
 /// The kernel's vector operand. Requests hold `Arc`s so a client replaying
 /// the same operand shares storage (and the service can memoize its
@@ -45,8 +23,8 @@ pub struct Request {
     /// Admission-fairness domain; each wave serves at most one request per
     /// tenant.
     pub tenant: usize,
-    /// Which kernel to run.
-    pub kernel: KernelKind,
+    /// Which kernel to run: one of the three row-shardable HHT kernels.
+    pub kernel: Kernel,
     /// The CSR matrix operand.
     pub matrix: Arc<CsrMatrix>,
     /// The vector operand (dense for SpMV, sparse for SpMSpV).
@@ -58,24 +36,33 @@ impl Request {
     /// a client bug, not a runtime condition.
     pub fn spmv(tenant: usize, matrix: Arc<CsrMatrix>, v: Arc<DenseVector>) -> Self {
         assert_eq!(v.len(), matrix.cols(), "spmv operand length must equal matrix cols");
-        Request { tenant, kernel: KernelKind::Spmv, matrix, operand: Operand::Dense(v) }
+        Request { tenant, kernel: Kernel::SpmvHht, matrix, operand: Operand::Dense(v) }
     }
 
     /// An SpMSpV variant-1 request.
     pub fn spmspv_v1(tenant: usize, matrix: Arc<CsrMatrix>, x: Arc<SparseVector>) -> Self {
         assert_eq!(x.len(), matrix.cols(), "spmspv operand length must equal matrix cols");
-        Request { tenant, kernel: KernelKind::SpmspvV1, matrix, operand: Operand::Sparse(x) }
+        Request { tenant, kernel: Kernel::SpmspvHhtV1, matrix, operand: Operand::Sparse(x) }
     }
 
     /// An SpMSpV variant-2 request.
     pub fn spmspv_v2(tenant: usize, matrix: Arc<CsrMatrix>, x: Arc<SparseVector>) -> Self {
         assert_eq!(x.len(), matrix.cols(), "spmspv operand length must equal matrix cols");
-        Request { tenant, kernel: KernelKind::SpmspvV2, matrix, operand: Operand::Sparse(x) }
+        Request { tenant, kernel: Kernel::SpmspvHhtV2, matrix, operand: Operand::Sparse(x) }
     }
 
     /// Rows of this request's output vector.
     pub fn rows(&self) -> usize {
         self.matrix.rows()
+    }
+
+    /// The job this request asks the fabric to run.
+    pub fn job(&self) -> Job<'_> {
+        let operand = match &self.operand {
+            Operand::Dense(v) => job::Operand::Dense(v),
+            Operand::Sparse(x) => job::Operand::Sparse(x),
+        };
+        Job::new(self.kernel, &self.matrix, operand)
     }
 }
 

@@ -19,7 +19,7 @@
 //!    singleton unit.
 //! 3. **Dispatch**: units execute over the persistent `hht-exec` worker
 //!    pool (`jobs` wide). Every unit builds its image and fabric cold
-//!    through the same `hht_system::runner` entry points as
+//!    through the same `hht_system::runner::run_fabric` entry point as
 //!    [`naive_run_stream`], so a served pass *is* a cold run.
 //! 4. **Demux & memoization**: per-job `y` is sliced out of batch passes;
 //!    singleton passes enter the replay tier (batched passes do not: a
@@ -32,13 +32,12 @@
 
 use crate::batch::concat_spmv;
 use crate::cache::{CacheKey, FifoCache, HashMemo};
-use crate::request::{KernelKind, Operand, Request, Response, Served};
+use crate::request::{Operand, Request, Response, Served};
 use hht_sparse::DenseVector;
 use hht_system::config::SystemConfig;
 use hht_system::fabric::FabricConfig;
-use hht_system::runner::{
-    run_spmspv_fabric_v1, run_spmspv_fabric_v2, run_spmv_fabric, FabricRunOutput,
-};
+use hht_system::job::{Job, Kernel};
+use hht_system::runner::{self, FabricRunOutput};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -197,7 +196,7 @@ impl Service {
             let req = &requests[idx];
             self.stats.requests += 1;
             let (mh, oh) = self.memo.hashes(req);
-            let key = CacheKey::new(req.kernel, mh, oh);
+            let key = CacheKey { kernel: req.kernel, matrix: mh, operand: oh };
             if self.scfg.replay {
                 if let Some(run) = self.replays.get(&key) {
                     self.stats.replay_hits += 1;
@@ -215,7 +214,7 @@ impl Service {
             }
             leaders.push(key);
             let small = req.rows() <= self.scfg.batch_row_threshold;
-            if self.scfg.batching && req.kernel == KernelKind::Spmv && small {
+            if self.scfg.batching && req.kernel == Kernel::SpmvHht && small {
                 batchable.push((idx, key));
             } else {
                 units.push(Unit::Single { idx, key });
@@ -246,7 +245,9 @@ impl Service {
                 let t0 = Instant::now();
                 match unit {
                     Unit::Single { idx, key } => {
-                        let run = Arc::new(run_cold(&cfg, fab, &requests[idx]));
+                        let run = runner::run_fabric(&cfg, fab, &requests[idx].job())
+                            .unwrap_or_else(|e| panic!("{e}"));
+                        let run = Arc::new(run);
                         UnitOut::Single { idx, key, run, secs: t0.elapsed() }
                     }
                     Unit::Batch { members } => {
@@ -261,7 +262,9 @@ impl Service {
                             })
                             .collect();
                         let b = concat_spmv(&jobs);
-                        let run = run_spmv_fabric(&cfg, fab, &b.matrix, &b.v);
+                        let job = Job::new(Kernel::SpmvHht, &b.matrix, &b.v);
+                        let run =
+                            runner::run_fabric(&cfg, fab, &job).unwrap_or_else(|e| panic!("{e}"));
                         UnitOut::Batch { members, run: Arc::new(run), secs: t0.elapsed() }
                     }
                 }
@@ -341,22 +344,6 @@ fn flush_group(group: &mut Vec<(usize, CacheKey)>, units: &mut Vec<Unit>) {
     group.clear();
 }
 
-/// Simulate one request cold: fresh image, fresh fabric. Both the
-/// service's singleton units and [`naive_run_stream`] run jobs through
-/// here, so a served pass and a cold one-shot run are the same code.
-fn run_cold(cfg: &SystemConfig, fab: FabricConfig, req: &Request) -> FabricRunOutput {
-    match (&req.kernel, &req.operand) {
-        (KernelKind::Spmv, Operand::Dense(v)) => run_spmv_fabric(cfg, fab, &req.matrix, v),
-        (KernelKind::SpmspvV1, Operand::Sparse(x)) => {
-            run_spmspv_fabric_v1(cfg, fab, &req.matrix, x)
-        }
-        (KernelKind::SpmspvV2, Operand::Sparse(x)) => {
-            run_spmspv_fabric_v2(cfg, fab, &req.matrix, x)
-        }
-        _ => unreachable!("request constructors enforce operand kinds"),
-    }
-}
-
 /// A response served from a memoized singleton pass.
 fn replay_response(req: &Request, run: Arc<FabricRunOutput>) -> Response {
     let rows = run.y.len();
@@ -383,7 +370,7 @@ pub fn naive_run_stream(
         .iter()
         .map(|req| {
             let t0 = Instant::now();
-            let run = run_cold(cfg, fab, req);
+            let run = runner::run_fabric(cfg, fab, &req.job()).unwrap_or_else(|e| panic!("{e}"));
             (Arc::new(run), t0.elapsed())
         })
         .collect()

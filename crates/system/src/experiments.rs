@@ -3,15 +3,27 @@
 //! Each function reproduces the measurement behind one paper figure; the
 //! `hht-bench` crate calls these to print the actual series.
 //!
-//! Every sweep is a grid of independent, deterministically seeded cells, so
-//! each has a `*_jobs` variant fanning the cells across host threads via
-//! `hht-exec`; results come back in input order, so output is identical for
-//! every `jobs` value (the serial names delegate to `jobs = 1`).
+//! Every sweep is a grid of independent, deterministically seeded cells
+//! that it fans across up to `jobs` host threads via `hht-exec` (`jobs = 1`
+//! runs serially); results come back in input order, so output is identical
+//! for every `jobs` value.
 
 use crate::config::SystemConfig;
-use crate::runner;
-use hht_sparse::generate;
+use crate::job::{Job, Kernel, Operand};
+use crate::runner::{self, RunOutput};
+use hht_sparse::{generate, CsrMatrix};
 use serde::{Deserialize, Serialize};
+
+/// Run one cell's kernel. A job error (a fault or a wrong result) aborts
+/// the sweep: figures from an incorrect kernel are meaningless.
+fn run<'a>(
+    cfg: &SystemConfig,
+    kernel: Kernel,
+    m: &'a CsrMatrix,
+    x: impl Into<Operand<'a>>,
+) -> RunOutput {
+    runner::run(cfg, &Job::new(kernel, m, x)).unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// Group a flat cell-major result list back into `(key, points)` series:
 /// `flat` holds `keys.len()` consecutive runs of `per` points each.
@@ -40,6 +52,17 @@ pub struct SpeedupPoint {
 }
 
 impl SpeedupPoint {
+    /// The comparison of one baseline run with one HHT run.
+    fn new(sparsity: f64, base: &RunOutput, hht: &RunOutput) -> Self {
+        SpeedupPoint {
+            sparsity,
+            baseline_cycles: base.stats.cycles,
+            hht_cycles: hht.stats.cycles,
+            cpu_wait_frac: hht.stats.cpu_wait_frac(),
+            hht_wait_frac: hht.stats.hht_wait_frac(),
+        }
+    }
+
     /// Baseline / HHT cycle ratio.
     pub fn speedup(&self) -> f64 {
         self.baseline_cycles as f64 / self.hht_cycles.max(1) as f64
@@ -60,29 +83,15 @@ pub fn spmv_point(cfg: &SystemConfig, n: usize, sparsity: f64, num_buffers: usiz
     let seed = seed_for(1, n, sparsity);
     let m = generate::random_csr(n, n, sparsity, seed);
     let v = generate::random_dense_vector(n, seed ^ 1);
-    let base = runner::run_spmv_baseline(cfg, &m, &v);
-    let hht = runner::run_spmv_hht(&cfg_h, &m, &v);
-    SpeedupPoint {
-        sparsity,
-        baseline_cycles: base.stats.cycles,
-        hht_cycles: hht.stats.cycles,
-        cpu_wait_frac: hht.stats.cpu_wait_frac(),
-        hht_wait_frac: hht.stats.hht_wait_frac(),
-    }
+    let base = run(cfg, Kernel::SpmvBaseline, &m, &v);
+    let hht = run(&cfg_h, Kernel::SpmvHht, &m, &v);
+    SpeedupPoint::new(sparsity, &base, &hht)
 }
 
 /// Figure 4/6 sweep: SpMV speedup and CPU-wait fraction vs sparsity for
-/// N ∈ {1, 2} buffers on an `n x n` matrix.
-pub fn spmv_sweep(cfg: &SystemConfig, n: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
-    spmv_sweep_jobs(cfg, n, 1)
-}
-
-/// [`spmv_sweep`] with its 18 cells spread over up to `jobs` threads.
-pub fn spmv_sweep_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<(usize, Vec<SpeedupPoint>)> {
+/// N ∈ {1, 2} buffers on an `n x n` matrix, 18 cells over up to `jobs`
+/// threads.
+pub fn spmv_sweep(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
     let buffers = [1usize, 2];
     let cells: Vec<(usize, f64)> =
         buffers.iter().flat_map(|&nb| PAPER_SPARSITIES.iter().map(move |&s| (nb, s))).collect();
@@ -90,57 +99,36 @@ pub fn spmv_sweep_jobs(
     regroup(&buffers, PAPER_SPARSITIES.len(), flat)
 }
 
-/// Which SpMSpV variant to measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpMSpVKind {
-    /// Variant-1: aligned pairs.
-    V1,
-    /// Variant-2: value-or-zero.
-    V2,
-}
-
-/// One SpMSpV measurement (Figs. 5/7): matrix and vector share `sparsity`.
+/// One SpMSpV measurement (Figs. 5/7) of `kernel` (an HHT SpMSpV variant)
+/// against the row-merge baseline: matrix and vector share `sparsity`.
 pub fn spmspv_point(
     cfg: &SystemConfig,
     n: usize,
     sparsity: f64,
     num_buffers: usize,
-    kind: SpMSpVKind,
+    kernel: Kernel,
 ) -> SpeedupPoint {
     let cfg_h = cfg.with_buffers(num_buffers);
     let seed = seed_for(2, n, sparsity);
     let m = generate::random_csr(n, n, sparsity, seed);
     let x = generate::random_sparse_vector(n, sparsity, seed ^ 1);
-    let base = runner::run_spmspv_baseline(cfg, &m, &x);
-    let hht = match kind {
-        SpMSpVKind::V1 => runner::run_spmspv_hht_v1(&cfg_h, &m, &x),
-        SpMSpVKind::V2 => runner::run_spmspv_hht_v2(&cfg_h, &m, &x),
-    };
-    SpeedupPoint {
-        sparsity,
-        baseline_cycles: base.stats.cycles,
-        hht_cycles: hht.stats.cycles,
-        cpu_wait_frac: hht.stats.cpu_wait_frac(),
-        hht_wait_frac: hht.stats.hht_wait_frac(),
-    }
+    let base = run(cfg, Kernel::SpmspvBaseline, &m, &x);
+    let hht = run(&cfg_h, kernel, &m, &x);
+    SpeedupPoint::new(sparsity, &base, &hht)
 }
 
-/// Figure 5/7 sweep: all four bars (v1/v2 × 1/2 buffers) per sparsity.
-pub fn spmspv_sweep(cfg: &SystemConfig, n: usize) -> Vec<(SpMSpVKind, usize, Vec<SpeedupPoint>)> {
-    spmspv_sweep_jobs(cfg, n, 1)
-}
-
-/// [`spmspv_sweep`] with its 36 cells spread over up to `jobs` threads.
-pub fn spmspv_sweep_jobs(
+/// Figure 5/7 sweep: all four bars (v1/v2 × 1/2 buffers) per sparsity, 36
+/// cells over up to `jobs` threads.
+pub fn spmspv_sweep(
     cfg: &SystemConfig,
     n: usize,
     jobs: usize,
-) -> Vec<(SpMSpVKind, usize, Vec<SpeedupPoint>)> {
-    let series: Vec<(SpMSpVKind, usize)> = [SpMSpVKind::V1, SpMSpVKind::V2]
+) -> Vec<(Kernel, usize, Vec<SpeedupPoint>)> {
+    let series: Vec<(Kernel, usize)> = [Kernel::SpmspvHhtV1, Kernel::SpmspvHhtV2]
         .into_iter()
         .flat_map(|kind| [1usize, 2].into_iter().map(move |nb| (kind, nb)))
         .collect();
-    let cells: Vec<(SpMSpVKind, usize, f64)> = series
+    let cells: Vec<(Kernel, usize, f64)> = series
         .iter()
         .flat_map(|&(kind, nb)| PAPER_SPARSITIES.iter().map(move |&s| (kind, nb, s)))
         .collect();
@@ -153,14 +141,9 @@ pub fn spmspv_sweep_jobs(
 }
 
 /// Figure 8 sweep: SpMV speedup vs sparsity for vector widths 1, 4, 8
-/// (N = 2 buffers; the baseline at each width uses the same width).
-pub fn vector_width_sweep(cfg: &SystemConfig, n: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
-    vector_width_sweep_jobs(cfg, n, 1)
-}
-
-/// [`vector_width_sweep`] with its 27 cells spread over up to `jobs`
-/// threads.
-pub fn vector_width_sweep_jobs(
+/// (N = 2 buffers; the baseline at each width uses the same width), 27
+/// cells over up to `jobs` threads.
+pub fn vector_width_sweep(
     cfg: &SystemConfig,
     n: usize,
     jobs: usize,
@@ -186,30 +169,20 @@ pub struct DnnResult {
     pub point: SpeedupPoint,
 }
 
-/// Figure 9: SpMV over DNN fully-connected layer weight matrices.
-pub fn dnn_suite(cfg: &SystemConfig) -> Vec<DnnResult> {
-    dnn_suite_jobs(cfg, 1)
-}
-
-/// [`dnn_suite`] with one cell per layer, spread over up to `jobs` threads.
-pub fn dnn_suite_jobs(cfg: &SystemConfig, jobs: usize) -> Vec<DnnResult> {
+/// Figure 9: SpMV over DNN fully-connected layer weight matrices, one cell
+/// per layer over up to `jobs` threads.
+pub fn dnn_suite(cfg: &SystemConfig, jobs: usize) -> Vec<DnnResult> {
     hht_exec::parallel_map(jobs, hht_workloads::dnn::suite(), |_, layer| {
         let m = layer.weights();
         let v = generate::random_dense_vector(m.cols(), 0xD00D ^ m.cols() as u64);
-        let base = runner::run_spmv_baseline(cfg, &m, &v);
-        let hht = runner::run_spmv_hht(cfg, &m, &v);
+        let base = run(cfg, Kernel::SpmvBaseline, &m, &v);
+        let hht = run(cfg, Kernel::SpmvHht, &m, &v);
         use hht_sparse::SparseFormat;
         DnnResult {
             network: layer.network.clone(),
             shape: (m.rows(), m.cols()),
             sparsity: m.sparsity(),
-            point: SpeedupPoint {
-                sparsity: m.sparsity(),
-                baseline_cycles: base.stats.cycles,
-                hht_cycles: hht.stats.cycles,
-                cpu_wait_frac: hht.stats.cpu_wait_frac(),
-                hht_wait_frac: hht.stats.hht_wait_frac(),
-            },
+            point: SpeedupPoint::new(m.sparsity(), &base, &hht),
         }
     })
 }
@@ -232,28 +205,19 @@ pub struct BaselineAblationPoint {
     pub v2_cycles: u64,
 }
 
-/// Run the SpMSpV baseline-choice ablation.
-pub fn baseline_ablation(cfg: &SystemConfig, n: usize) -> Vec<BaselineAblationPoint> {
-    baseline_ablation_jobs(cfg, n, 1)
-}
-
-/// [`baseline_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn baseline_ablation_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<BaselineAblationPoint> {
+/// Run the SpMSpV baseline-choice ablation, one cell per sparsity over up
+/// to `jobs` threads.
+pub fn baseline_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<BaselineAblationPoint> {
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(7, n, s);
         let m = generate::random_csr(n, n, s, seed);
         let x = generate::random_sparse_vector(n, s, seed ^ 1);
         BaselineAblationPoint {
             sparsity: s,
-            merge_cycles: runner::run_spmspv_baseline(cfg, &m, &x).stats.cycles,
-            csc_cycles: runner::run_spmspv_csc_baseline(cfg, &m, &x).stats.cycles,
-            v1_cycles: runner::run_spmspv_hht_v1(cfg, &m, &x).stats.cycles,
-            v2_cycles: runner::run_spmspv_hht_v2(cfg, &m, &x).stats.cycles,
+            merge_cycles: run(cfg, Kernel::SpmspvBaseline, &m, &x).stats.cycles,
+            csc_cycles: run(cfg, Kernel::SpmspvCscBaseline, &m, &x).stats.cycles,
+            v1_cycles: run(cfg, Kernel::SpmspvHhtV1, &m, &x).stats.cycles,
+            v2_cycles: run(cfg, Kernel::SpmspvHhtV2, &m, &x).stats.cycles,
         }
     })
 }
@@ -273,22 +237,16 @@ pub struct CrossoverPoint {
     pub sparse_hht_cycles: u64,
 }
 
-/// Sweep the dense-vs-sparse crossover.
-pub fn crossover(cfg: &SystemConfig, n: usize) -> Vec<CrossoverPoint> {
-    crossover_jobs(cfg, n, 1)
-}
-
-/// [`crossover`] with one cell per sparsity, spread over up to `jobs`
-/// threads.
-pub fn crossover_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<CrossoverPoint> {
-    use hht_sparse::SparseFormat;
+/// Sweep the dense-vs-sparse crossover, one cell per sparsity over up to
+/// `jobs` threads.
+pub fn crossover(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<CrossoverPoint> {
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(6, n, s);
         let m = generate::random_csr(n, n, s, seed);
         let v = generate::random_dense_vector(n, seed ^ 1);
-        let dense = runner::run_dense_matvec(cfg, &m.to_dense(), &v);
-        let base = runner::run_spmv_baseline(cfg, &m, &v);
-        let hht = runner::run_spmv_hht(cfg, &m, &v);
+        let dense = run(cfg, Kernel::DenseMatvec, &m, &v);
+        let base = run(cfg, Kernel::SpmvBaseline, &m, &v);
+        let hht = run(cfg, Kernel::SpmvHht, &m, &v);
         CrossoverPoint {
             sparsity: s,
             dense_cycles: dense.stats.cycles,
@@ -320,14 +278,9 @@ pub struct MotivationPoint {
     pub hht_beats_per_nnz: f64,
 }
 
-/// Run the §2 motivation study across the paper sparsities.
-pub fn motivation(cfg: &SystemConfig, n: usize) -> Vec<MotivationPoint> {
-    motivation_jobs(cfg, n, 1)
-}
-
-/// [`motivation`] with one cell per sparsity, spread over up to `jobs`
-/// threads.
-pub fn motivation_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<MotivationPoint> {
+/// Run the §2 motivation study across the paper sparsities, one cell per
+/// sparsity over up to `jobs` threads.
+pub fn motivation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<MotivationPoint> {
     use hht_sparse::kernels::spmv_access_counts;
     use hht_sparse::SparseFormat;
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
@@ -335,8 +288,8 @@ pub fn motivation_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<Motivat
         let m = generate::random_csr(n, n, s, seed);
         let v = generate::random_dense_vector(n, seed ^ 1);
         let nnz = m.nnz().max(1) as f64;
-        let base = runner::run_spmv_baseline(cfg, &m, &v);
-        let hht = runner::run_spmv_hht(cfg, &m, &v);
+        let base = run(cfg, Kernel::SpmvBaseline, &m, &v);
+        let hht = run(cfg, Kernel::SpmvHht, &m, &v);
         MotivationPoint {
             sparsity: s,
             metadata_load_fraction: spmv_access_counts(&m).metadata_fraction(),
@@ -374,25 +327,16 @@ impl ProgrammablePoint {
     }
 }
 
-/// Run the §7 ASIC-vs-programmable ablation across the paper sparsities.
-pub fn programmable_ablation(cfg: &SystemConfig, n: usize) -> Vec<ProgrammablePoint> {
-    programmable_ablation_jobs(cfg, n, 1)
-}
-
-/// [`programmable_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn programmable_ablation_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<ProgrammablePoint> {
+/// Run the §7 ASIC-vs-programmable ablation across the paper sparsities,
+/// one cell per sparsity over up to `jobs` threads.
+pub fn programmable_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<ProgrammablePoint> {
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(4, n, s);
         let m = generate::random_csr(n, n, s, seed);
         let v = generate::random_dense_vector(n, seed ^ 1);
-        let base = runner::run_spmv_baseline(cfg, &m, &v);
-        let asic = runner::run_spmv_hht(cfg, &m, &v);
-        let prog = runner::run_spmv_hht_programmable(cfg, &m, &v);
+        let base = run(cfg, Kernel::SpmvBaseline, &m, &v);
+        let asic = run(cfg, Kernel::SpmvHht, &m, &v);
+        let prog = run(cfg, Kernel::SpmvHhtProgrammable, &m, &v);
         ProgrammablePoint {
             sparsity: s,
             baseline_cycles: base.stats.cycles,
@@ -424,23 +368,15 @@ pub struct FormatAblationPoint {
 pub const FORMAT_ABLATION_SPARSITIES: [f64; 11] =
     [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99];
 
-/// Run the §6 format ablation on an `n x n` matrix per sparsity level.
-pub fn format_ablation(cfg: &SystemConfig, n: usize) -> Vec<FormatAblationPoint> {
-    format_ablation_jobs(cfg, n, 1)
-}
-
-/// [`format_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn format_ablation_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<FormatAblationPoint> {
-    use hht_sparse::{SmashMatrix, SparseFormat};
+/// Run the §6 format ablation on an `n x n` matrix per sparsity level, one
+/// cell per sparsity over up to `jobs` threads.
+pub fn format_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<FormatAblationPoint> {
     hht_exec::parallel_map(jobs, FORMAT_ABLATION_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(3, n, s);
         let m = generate::random_csr(n, n, s, seed);
         let v = generate::random_dense_vector(n, seed ^ 1);
-        let smash =
-            SmashMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets from CSR");
-        let csr_run = runner::run_spmv_hht(cfg, &m, &v);
-        let smash_run = runner::run_smash_spmv_hht(cfg, &smash, &v);
+        let csr_run = run(cfg, Kernel::SpmvHht, &m, &v);
+        let smash_run = run(cfg, Kernel::SmashSpmvHht, &m, &v);
         FormatAblationPoint {
             sparsity: s,
             csr_hht_cycles: csr_run.stats.cycles,
@@ -475,8 +411,8 @@ mod tests {
 
     #[test]
     fn spmspv_points_run() {
-        let v1 = spmspv_point(&small_cfg(), 48, 0.8, 2, SpMSpVKind::V1);
-        let v2 = spmspv_point(&small_cfg(), 48, 0.8, 2, SpMSpVKind::V2);
+        let v1 = spmspv_point(&small_cfg(), 48, 0.8, 2, Kernel::SpmspvHhtV1);
+        let v2 = spmspv_point(&small_cfg(), 48, 0.8, 2, Kernel::SpmspvHhtV2);
         assert!(v1.speedup() > 1.0, "v1 speedup = {}", v1.speedup());
         assert!(v2.speedup() > 1.0, "v2 speedup = {}", v2.speedup());
     }
@@ -490,7 +426,7 @@ mod tests {
 
     #[test]
     fn format_ablation_smash_is_slower() {
-        let pts = format_ablation(&small_cfg(), 64);
+        let pts = format_ablation(&small_cfg(), 64, 1);
         // §6: SMASH indexing makes the HHT the bottleneck.
         let p = &pts[4]; // 50% sparsity
         assert!(p.smash_hht_cycles > p.csr_hht_cycles);

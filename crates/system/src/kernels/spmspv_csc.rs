@@ -37,16 +37,14 @@ pub fn layout_spmspv_csc(sram: &mut Sram, m: &CscMatrix, x: &SparseVector) -> Pr
         rows_base: col_ptr_base,
         cols_base: row_idx_base,
         vals_base,
-        v_base: 0,
         x_idx_base,
         x_vals_base,
         y_base,
-        smash_l0_base: 0,
-        smash_l1_base: 0,
         num_rows: m.rows() as u32,
         num_cols: m.cols() as u32,
         m_nnz: m.nnz() as u32,
         x_nnz: x.nnz() as u32,
+        ..Default::default()
     }
 }
 
@@ -119,16 +117,14 @@ mod tests {
             rows_base: 0x100,
             cols_base: 0x200,
             vals_base: 0x300,
-            v_base: 0,
             x_idx_base: 0x400,
             x_vals_base: 0x500,
             y_base: 0x600,
-            smash_l0_base: 0,
-            smash_l1_base: 0,
             num_rows: 8,
             num_cols: 8,
             m_nnz: 12,
             x_nnz: 4,
+            ..Default::default()
         };
         let p = spmspv_csc_baseline(&l);
         assert!(!p.instrs().iter().any(|i| i.is_vector()));

@@ -8,8 +8,9 @@
 use hht_mem::Sram;
 use hht_sparse::{CsrMatrix, DenseMatrix, DenseVector, SmashMatrix, SparseFormat, SparseVector};
 
-/// Base addresses of every array placed in SRAM for one problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Base addresses of every array placed in SRAM for one problem (an array
+/// the problem lacks has base 0).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProblemLayout {
     /// CSR row-pointer array (`rows() + 1` words).
     pub rows_base: u32,
@@ -107,15 +108,11 @@ pub fn layout_spmv(sram: &mut Sram, m: &CsrMatrix, v: &DenseVector) -> ProblemLa
         cols_base,
         vals_base,
         v_base,
-        x_idx_base: 0,
-        x_vals_base: 0,
         y_base,
-        smash_l0_base: 0,
-        smash_l1_base: 0,
         num_rows: m.rows() as u32,
         num_cols: m.cols() as u32,
         m_nnz: m.nnz() as u32,
-        x_nnz: 0,
+        ..Default::default()
     }
 }
 
@@ -133,16 +130,14 @@ pub fn layout_spmspv(sram: &mut Sram, m: &CsrMatrix, x: &SparseVector) -> Proble
         rows_base,
         cols_base,
         vals_base,
-        v_base: 0,
         x_idx_base,
         x_vals_base,
         y_base,
-        smash_l0_base: 0,
-        smash_l1_base: 0,
         num_rows: m.rows() as u32,
         num_cols: m.cols() as u32,
         m_nnz: m.nnz() as u32,
         x_nnz: x.nnz() as u32,
+        ..Default::default()
     }
 }
 
@@ -156,19 +151,13 @@ pub fn layout_dense(sram: &mut Sram, m: &DenseMatrix, v: &DenseVector) -> Proble
     let v_base = b.place_f32s(v.as_slice());
     let y_base = b.place_output(m.rows());
     ProblemLayout {
-        rows_base: 0,
-        cols_base: 0,
         vals_base,
         v_base,
-        x_idx_base: 0,
-        x_vals_base: 0,
         y_base,
-        smash_l0_base: 0,
-        smash_l1_base: 0,
         num_rows: m.rows() as u32,
         num_cols: m.cols() as u32,
         m_nnz: (m.rows() * m.cols()) as u32,
-        x_nnz: 0,
+        ..Default::default()
     }
 }
 
@@ -183,19 +172,15 @@ pub fn layout_smash_spmv(sram: &mut Sram, m: &SmashMatrix, v: &DenseVector) -> P
     let v_base = b.place_f32s(v.as_slice());
     let y_base = b.place_output(m.rows());
     ProblemLayout {
-        rows_base: 0,
-        cols_base: 0,
         vals_base,
         v_base,
-        x_idx_base: 0,
-        x_vals_base: 0,
         y_base,
         smash_l0_base,
         smash_l1_base,
         num_rows: m.rows() as u32,
         num_cols: m.cols() as u32,
         m_nnz: m.nnz() as u32,
-        x_nnz: 0,
+        ..Default::default()
     }
 }
 

@@ -13,8 +13,10 @@
 //! - [`system`] — [`system::System`]: the single-tile machine (CPU steps
 //!   first each cycle, then the HHT, sharing the SRAM port), a one-tile
 //!   [`fabric::Fabric`].
-//! - [`runner`] — one-call "run kernel X on problem Y" helpers that also
-//!   verify the numeric result against the `hht-sparse` golden kernels.
+//! - [`job`] — [`job::Job`]: which [`job::Kernel`] to run on which operands.
+//! - [`runner`] — [`runner::run`], [`runner::run_fabric`] and
+//!   [`runner::build_fabric`]: run or build a job, verifying the numeric
+//!   result against the `hht-sparse` golden kernels.
 //! - [`experiments`] — the figure-level drivers (speedup sweeps, wait-cycle
 //!   fractions, vector-width sensitivity, DNN suite).
 //!
@@ -30,6 +32,7 @@
 pub mod config;
 pub mod experiments;
 pub mod fabric;
+pub mod job;
 pub mod kernels;
 pub mod layout;
 pub mod legacy;
@@ -40,7 +43,8 @@ pub mod tiling;
 
 pub use config::{Scheduler, SystemConfig, TraceConfig};
 pub use fabric::{ArbPolicy, Fabric, FabricConfig, FabricStats, SchedStats, TileSchedStats};
+pub use job::{Job, JobError, Kernel};
 pub use legacy::LegacySystem;
 pub use metrics::MetricsSnapshot;
-pub use runner::{RecoveryReport, RunOutput, RunStats};
+pub use runner::{RecoveryReport, RunOutput};
 pub use system::{FaultSummary, System};

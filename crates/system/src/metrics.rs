@@ -130,6 +130,7 @@ impl SystemStats {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::job::{Job, Kernel};
     use crate::runner;
     use hht_sparse::generate;
 
@@ -138,7 +139,7 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(24, 24, 0.6, 5);
         let v = generate::random_dense_vector(24, 6);
-        let out = runner::run_spmv_hht(&cfg, &m, &v);
+        let out = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         let snap = out.stats.snapshot();
         snap.validate().unwrap();
         // The HHT run must actually have attributed CPU waits.
@@ -153,7 +154,8 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(16, 16, 0.5, 9);
         let v = generate::random_dense_vector(16, 10);
-        let mut snap = runner::run_spmv_hht(&cfg, &m, &v).stats.snapshot();
+        let mut snap =
+            runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap().stats.snapshot();
         snap.stalls.hht_window_empty += 1;
         assert!(snap.validate().is_err());
     }

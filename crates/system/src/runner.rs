@@ -1,33 +1,33 @@
-//! One-call "run this kernel on this problem" helpers.
+//! The job path: [`run`] runs a [`Job`] on one tile, [`run_fabric`]
+//! row-shards one of the HHT kernels across an N-tile [`Fabric`] (each
+//! tile its own fault domain), and [`build_fabric`] builds that fabric
+//! without running it.
 //!
-//! Every runner builds the SRAM image, assembles the kernel, runs the
-//! system to completion, reads back `y` and **verifies it against the
-//! golden `hht-sparse` kernel** (exact to a small FP-reassociation
-//! tolerance). A wrong result panics: performance numbers from an
-//! incorrect kernel are meaningless.
+//! Every run builds the SRAM image, assembles the kernel, runs to
+//! completion, reads back `y` and **verifies it against the golden
+//! `hht-sparse` kernel** (exact to a small FP-reassociation tolerance). A
+//! wrong result is a [`JobError`]: performance numbers from an incorrect
+//! kernel are meaningless.
 //!
-//! With [`SystemConfig::recovery`] enabled, the accelerated runners
-//! degrade gracefully instead: when the HHT is declared failed
+//! With [`SystemConfig::recovery`] enabled, accelerated kernels degrade
+//! gracefully instead: when the HHT is declared failed
 //! ([`RunError::HhtFailed`]), the watchdog expires, or the accelerated
-//! result diverges from golden, the kernel is re-run on the baseline
-//! software path (fault injection disabled) and the returned `y` is the
+//! result diverges from golden, the kernel is re-run on its software
+//! fallback (fault injection disabled) and the returned `y` is the
 //! numerically correct fallback result. The failed attempt's cycles are
 //! added to the total so the degradation is visible in the stats, and the
 //! recovery is recorded in [`RunOutput::recovery`] and
-//! `stats.faults.fallbacks`.
+//! `stats.faults.fallbacks`. The fabric driver retries and fails over per
+//! tile first (see [`run_fabric`]).
 
 use crate::config::SystemConfig;
 use crate::fabric::{Fabric, FabricConfig, FabricStats, SchedStats, TileHealth, TileSchedStats};
-use crate::kernels;
+use crate::job::{Job, JobError, Kernel};
 use crate::layout;
 use crate::system::{System, SystemStats};
-use hht_fault::FaultPlan;
-use hht_mem::{SharedMemStats, SharedMemory, Sram};
+use hht_mem::{SharedMemStats, SharedMemory};
 use hht_sim::RunError;
-use hht_sparse::{
-    kernels as golden, CscMatrix, CsrMatrix, DenseMatrix, DenseVector, SmashMatrix, SparseFormat,
-    SparseVector,
-};
+use hht_sparse::{CsrMatrix, DenseVector, SparseFormat, SparseVector};
 
 /// How an accelerated run recovered after a fault (see
 /// [`RunOutput::recovery`]).
@@ -68,15 +68,11 @@ pub struct RunOutput {
 
 /// Read the host-side run accounting (scheduler counters and ring drops),
 /// then drain the event streams — in that order: draining resets the rings.
-fn drain(sys: &mut System) -> (SchedStats, hht_obs::ObsDrops, Vec<hht_obs::Event>) {
+pub(crate) fn drain(sys: &mut System) -> (SchedStats, hht_obs::ObsDrops, Vec<hht_obs::Event>) {
     let sched = sys.sched_stats();
     let dropped = sys.obs_drops();
     (sched, dropped, sys.take_events())
 }
-
-/// Re-export of [`SystemStats`] under the name used by the experiment
-/// drivers.
-pub type RunStats = SystemStats;
 
 /// Tolerance for comparing simulated FP results with golden results: both
 /// use f32 adds in the same per-row order, but vector strip-mining
@@ -90,7 +86,7 @@ const TOL: f32 = 1e-3;
 /// `TOL * scale`, where `scale` is `max(1, max finite |golden|)`: an Inf in
 /// the golden vector therefore never widens the tolerance of its
 /// neighbours. Returns a description of the first failing element.
-fn check_golden(y: &DenseVector, golden: &DenseVector) -> Result<(), String> {
+pub(crate) fn check_golden(y: &DenseVector, golden: &DenseVector) -> Result<(), String> {
     if y.len() != golden.len() {
         return Err(format!("{} elements, golden has {}", y.len(), golden.len()));
     }
@@ -107,71 +103,66 @@ fn check_golden(y: &DenseVector, golden: &DenseVector) -> Result<(), String> {
     Ok(())
 }
 
+#[cfg(test)]
 fn matches_golden(y: &DenseVector, golden: &DenseVector) -> bool {
     check_golden(y, golden).is_ok()
 }
 
-fn verify(y: &DenseVector, golden: &DenseVector, what: &str) {
-    if let Err(e) = check_golden(y, golden) {
-        panic!("{what}: simulated result diverges from golden: {e}");
+/// Run `job` on one tile and verify it against golden.
+///
+/// Without [`SystemConfig::recovery`] (and always for the software
+/// kernels) a fault or a divergence is an error. With it, an accelerated
+/// kernel's HHT failure, watchdog expiry or corrupted result re-runs the
+/// job at once on the kernel's software fallback. Guest faults unrelated to the
+/// accelerator stay errors: those are kernel bugs, not injected hardware
+/// faults.
+pub fn run(cfg: &SystemConfig, job: &Job) -> Result<RunOutput, JobError> {
+    let (sram, program, y_base) = job.image(cfg)?;
+    let gold = job.golden()?;
+    let what = job.kernel.name();
+    let fallback = job.kernel.fallback().filter(|_| cfg.recovery);
+    let mut sys = System::new(cfg, program, sram);
+    if let Some(p) = &job.plan {
+        sys.set_fault_plan(p.clone());
     }
+    let (fallback, error, stats) = match (sys.run(), fallback) {
+        (Ok(stats), fallback) => {
+            let y = sys.read_output(y_base, job.matrix.rows());
+            match (check_golden(&y, &gold), fallback) {
+                (Ok(()), _) => {
+                    let (sched, dropped, events) = drain(&mut sys);
+                    return Ok(RunOutput { y, stats, events, recovery: None, sched, dropped });
+                }
+                (Err(detail), None) => return Err(JobError::Diverged { what, detail }),
+                (Err(_), Some(fb)) => {
+                    (fb, format!("{what}: accelerated result diverges from golden"), stats)
+                }
+            }
+        }
+        (Err(e @ (RunError::HhtFailed { .. } | RunError::Watchdog(_))), Some(fb)) => {
+            (fb, e.to_string(), sys.stats())
+        }
+        (Err(error), _) => return Err(JobError::KernelFault { what, error }),
+    };
+    let (sched, dropped, events) = drain(&mut sys);
+    let baseline = Job::new(fallback, job.matrix, job.operand);
+    software_fallback(cfg, &baseline, error, stats, events, sched, dropped)
 }
 
-/// Shared driver for the accelerated (HHT) runners: run the system, verify
-/// against golden, and — when `cfg.recovery` is on — degrade to the
-/// software `baseline` closure on HHT failure, watchdog expiry, or a
-/// corrupted result. Guest faults unrelated to the accelerator still
-/// panic: those are kernel bugs, not injected hardware faults.
-fn run_accelerated(
-    cfg: &SystemConfig,
-    what: &str,
-    golden: &DenseVector,
-    rows: usize,
-    plan: Option<FaultPlan>,
-    build: &dyn Fn(&SystemConfig) -> (System, u32),
-    baseline: &dyn Fn(&SystemConfig) -> RunOutput,
-) -> RunOutput {
-    let (mut sys, y_base) = build(cfg);
-    if let Some(p) = plan {
-        sys.set_fault_plan(p);
-    }
-    match sys.run() {
-        Ok(stats) => {
-            let y = sys.read_output(y_base, rows);
-            if matches_golden(&y, golden) {
-                let (sched, dropped, events) = drain(&mut sys);
-                return RunOutput { y, stats, events, recovery: None, sched, dropped };
-            }
-            if !cfg.recovery {
-                verify(&y, golden, what); // panics with the standard message
-            }
-            let error = format!("{what}: accelerated result diverges from golden");
-            let (sched, dropped, events) = drain(&mut sys);
-            software_fallback(cfg, error, stats, events, sched, dropped, baseline)
-        }
-        Err(e @ (RunError::HhtFailed { .. } | RunError::Watchdog(_))) if cfg.recovery => {
-            let stats = sys.stats();
-            let (sched, dropped, events) = drain(&mut sys);
-            software_fallback(cfg, e.to_string(), stats, events, sched, dropped, baseline)
-        }
-        Err(e) => panic!("{what} kernel fault: {e}"),
-    }
-}
-
-/// Re-run the kernel on the baseline software path after a failed
-/// accelerated attempt, folding the failed attempt's cost into the stats.
+/// Re-run the job on its software fallback after a failed accelerated
+/// attempt, folding the failed attempt's cost into the stats.
 fn software_fallback(
     cfg: &SystemConfig,
+    baseline: &Job,
     error: String,
     failed_stats: SystemStats,
     failed_events: Vec<hht_obs::Event>,
     failed_sched: SchedStats,
     failed_dropped: hht_obs::ObsDrops,
-    baseline: &dyn Fn(&SystemConfig) -> RunOutput,
-) -> RunOutput {
+) -> Result<RunOutput, JobError> {
     let mut fb_cfg = *cfg;
     fb_cfg.fault.seed = 0; // the fallback run must not re-inject faults
-    let mut out = baseline(&fb_cfg);
+    let mut out = run(&fb_cfg, baseline)?;
     out.sched.add(&failed_sched);
     out.dropped.add(&failed_dropped);
     out.stats.cycles += failed_stats.cycles;
@@ -193,212 +184,7 @@ fn software_fallback(
         out.events = events;
     }
     out.recovery = Some(RecoveryReport { error, tile: 0, failed_stats });
-    out
-}
-
-/// Build the SRAM, growing it beyond the configured (Table-1) 1 MB when
-/// the problem image does not fit. The paper runs 512x512 matrices at 10 %
-/// sparsity, whose CSR image alone is ~1.9 MB — their spike memory model
-/// must have been sized up the same way (documented in EXPERIMENTS.md).
-///
-/// Every image starts from `Sram::new` (`vec![0; n]`), whose zeroed pages
-/// stay untouched until the layout writes them; growing a recycled buffer
-/// with `resize` would write every page of a multi-megabyte image.
-fn sram_for(cfg: &SystemConfig, words: usize) -> Sram {
-    // base offset + arrays + per-array alignment padding slack
-    let needed = 0x100u64 + 4 * words as u64 + 32 * 8;
-    let size = (cfg.ram_size as u64).max(needed.next_multiple_of(4096)) as u32;
-    Sram::new(size, cfg.ram_word_cycles)
-}
-
-fn spmv_words(m: &CsrMatrix, v: &DenseVector) -> usize {
-    (m.rows() + 1) + 2 * m.nnz() + v.len() + m.rows()
-}
-
-fn spmspv_words(m: &CsrMatrix, x: &SparseVector) -> usize {
-    (m.rows() + 1) + 2 * m.nnz() + 2 * x.nnz() + m.rows()
-}
-
-/// Run baseline SpMV (CPU only, Algorithm 1).
-pub fn run_spmv_baseline(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, spmv_words(m, v));
-    let l = layout::layout_spmv(&mut sram, m, v);
-    let program = kernels::spmv_baseline(&l, cfg.core.vlen > 1);
-    let mut sys = System::new(cfg, program, sram);
-    let stats = sys.run().expect("baseline SpMV kernel fault");
-    let y = sys.read_output(l.y_base, m.rows());
-    verify(&y, &golden::spmv(m, v).expect("shapes validated by layout"), "spmv_baseline");
-    let (sched, dropped, events) = drain(&mut sys);
-    RunOutput { y, stats, events, recovery: None, sched, dropped }
-}
-
-/// Run HHT-assisted SpMV.
-pub fn run_spmv_hht(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
-    run_spmv_hht_inner(cfg, m, v, None)
-}
-
-/// Run HHT-assisted SpMV with an explicit fault schedule (replacing any
-/// seed-derived plan from `cfg.fault`).
-pub fn run_spmv_hht_with_plan(
-    cfg: &SystemConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: FaultPlan,
-) -> RunOutput {
-    run_spmv_hht_inner(cfg, m, v, Some(plan))
-}
-
-fn run_spmv_hht_inner(
-    cfg: &SystemConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: Option<FaultPlan>,
-) -> RunOutput {
-    let gold = golden::spmv(m, v).expect("shapes validated by layout");
-    run_accelerated(
-        cfg,
-        "spmv_hht",
-        &gold,
-        m.rows(),
-        plan,
-        &|cfg| {
-            let mut sram = sram_for(cfg, spmv_words(m, v));
-            let l = layout::layout_spmv(&mut sram, m, v);
-            let program = kernels::spmv_hht(&l, cfg.core.vlen > 1);
-            (System::new(cfg, program, sram), l.y_base)
-        },
-        &|cfg| run_spmv_baseline(cfg, m, v),
-    )
-}
-
-/// Run baseline SpMSpV (CPU-only scalar merge).
-pub fn run_spmspv_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, spmspv_words(m, x));
-    let l = layout::layout_spmspv(&mut sram, m, x);
-    let program = kernels::spmspv_baseline(&l);
-    let mut sys = System::new(cfg, program, sram);
-    let stats = sys.run().expect("baseline SpMSpV kernel fault");
-    let y = sys.read_output(l.y_base, m.rows());
-    verify(&y, &golden::spmspv(m, x).expect("shapes validated"), "spmspv_baseline");
-    let (sched, dropped, events) = drain(&mut sys);
-    RunOutput { y, stats, events, recovery: None, sched, dropped }
-}
-
-/// Run the work-efficient CSC SpMSpV baseline (related work [43]):
-/// column-scatter over the non-zeros of `x` only.
-pub fn run_spmspv_csc_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
-    let csc = CscMatrix::from_triplets(m.rows(), m.cols(), &m.triplets())
-        .expect("valid triplets from CSR");
-    let words = (m.cols() + 1) + 2 * m.nnz() + 2 * x.nnz() + m.rows();
-    let mut sram = sram_for(cfg, words);
-    let l = kernels::layout_spmspv_csc(&mut sram, &csc, x);
-    let program = kernels::spmspv_csc_baseline(&l);
-    let mut sys = System::new(cfg, program, sram);
-    let stats = sys.run().expect("CSC SpMSpV kernel fault");
-    let y = sys.read_output(l.y_base, m.rows());
-    verify(&y, &golden::spmspv(m, x).expect("shapes validated"), "spmspv_csc_baseline");
-    let (sched, dropped, events) = drain(&mut sys);
-    RunOutput { y, stats, events, recovery: None, sched, dropped }
-}
-
-/// Run HHT SpMSpV variant-1 (aligned pairs).
-pub fn run_spmspv_hht_v1(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_accelerated(
-        cfg,
-        "spmspv_hht_v1",
-        &gold,
-        m.rows(),
-        None,
-        &|cfg| {
-            let mut sram = sram_for(cfg, spmspv_words(m, x));
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            let program = kernels::spmspv_hht_v1(&l);
-            (System::new(cfg, program, sram), l.y_base)
-        },
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
-}
-
-/// Run HHT SpMSpV variant-2 (value-or-zero).
-pub fn run_spmspv_hht_v2(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_accelerated(
-        cfg,
-        "spmspv_hht_v2",
-        &gold,
-        m.rows(),
-        None,
-        &|cfg| {
-            let mut sram = sram_for(cfg, spmspv_words(m, x));
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            let program = kernels::spmspv_hht_v2(&l);
-            (System::new(cfg, program, sram), l.y_base)
-        },
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
-}
-
-/// Run the dense (expanded) matrix-vector baseline: the §6 comparator that
-/// stores every zero and pays no metadata cost.
-pub fn run_dense_matvec(cfg: &SystemConfig, m: &DenseMatrix, v: &DenseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, m.rows() * m.cols() + v.len() + m.rows());
-    let l = layout::layout_dense(&mut sram, m, v);
-    let program = kernels::dense_matvec(&l);
-    let mut sys = System::new(cfg, program, sram);
-    let stats = sys.run().expect("dense matvec kernel fault");
-    let y = sys.read_output(l.y_base, m.rows());
-    verify(&y, &m.matvec(v).expect("shapes validated"), "dense_matvec");
-    let (sched, dropped, events) = drain(&mut sys);
-    RunOutput { y, stats, events, recovery: None, sched, dropped }
-}
-
-/// Run SpMV with the *programmable* HHT back-end (§7 future work): same
-/// CPU-side kernel, but the gather is performed by a helper core running a
-/// microprogram instead of the ASIC FSM.
-pub fn run_spmv_hht_programmable(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
-    let gold = golden::spmv(m, v).expect("shapes validated by layout");
-    run_accelerated(
-        cfg,
-        "spmv_hht_programmable",
-        &gold,
-        m.rows(),
-        None,
-        &|cfg| {
-            let mut sram = sram_for(cfg, spmv_words(m, v));
-            let l = layout::layout_spmv(&mut sram, m, v);
-            let program = kernels::spmv_hht_programmable(&l, cfg.core.vlen > 1);
-            (System::new(cfg, program, sram), l.y_base)
-        },
-        &|cfg| run_spmv_baseline(cfg, m, v),
-    )
-}
-
-/// Run HHT-assisted SpMV over a SMASH-encoded matrix (§6 ablation).
-pub fn run_smash_spmv_hht(cfg: &SystemConfig, m: &SmashMatrix, v: &DenseVector) -> RunOutput {
-    // Golden (and the fallback path): densify via triplets and use CSR.
-    let csr = CsrMatrix::from_triplets(m.rows(), m.cols(), &m.triplets())
-        .expect("triplets from a valid SMASH matrix");
-    let gold = golden::spmv(&csr, v).expect("shapes validated");
-    run_accelerated(
-        cfg,
-        "smash_spmv_hht",
-        &gold,
-        m.rows(),
-        None,
-        &|cfg| {
-            let words = m.level(0).len()
-                + if m.num_levels() > 1 { m.level(1).len() } else { 0 }
-                + m.nnz()
-                + v.len()
-                + m.rows();
-            let mut sram = sram_for(cfg, words);
-            let l = layout::layout_smash_spmv(&mut sram, m, v);
-            let program = kernels::smash_spmv_hht(&l);
-            (System::new(cfg, program, sram), l.y_base)
-        },
-        &|cfg| run_spmv_baseline(cfg, &csr, v),
-    )
+    Ok(out)
 }
 
 /// Numeric result plus measured statistics of one fabric run.
@@ -551,18 +337,21 @@ fn assign_shards(
     (assigned, pending.len())
 }
 
-/// Shared driver for the fabric runners: build the full image plus
-/// per-shard row-pointer copies, run one HHT kernel per tile over the
-/// banked memory, and verify the assembled result against golden.
+/// Run one of the three HHT kernels (SpMV, SpMSpV v1/v2) row-sharded across
+/// an N-tile fabric: build the full image plus per-shard row-pointer
+/// copies, run one kernel per tile over the banked memory, and verify the
+/// assembled result against golden.
 ///
-/// Without `cfg.recovery` a tile fault or divergence panics (the seed
+/// Without `cfg.recovery` a tile fault or divergence is an error (the seed
 /// behaviour). With it, each tile is its own fault domain: a failed tile is
 /// retried with bounded exponential backoff and then quarantined, its
 /// unfinished row shard re-sharded nnz-balanced across the surviving tiles
-/// on a fresh image; N tiles degrade to N−1, …, down to the software
-/// `baseline` fallback only when every tile is quarantined (or the
+/// on a fresh image; N tiles degrade to N−1, …, down to the whole-run
+/// software fallback only when every tile is quarantined (or the
 /// assembled result diverges from golden). Clean tiles of a failed attempt
-/// keep their finished row ranges — only unfinished work is re-run.
+/// keep their finished row ranges — only unfinished work is re-run. Even a
+/// one-tile fabric retries `tile_retries` times before it falls back,
+/// where [`run`] falls back at once.
 ///
 /// Stats: per-original-tile [`SystemStats`] accumulate across attempts; a
 /// failed tile's stall counters are discarded (its partial work is thrown
@@ -571,18 +360,14 @@ fn assign_shards(
 /// clock sums every attempt plus the max backoff per failed attempt. Event
 /// timelines keep attempt 0 (where injections live) plus host-side
 /// quarantine/failover markers; retries run untraced.
-#[allow(clippy::too_many_arguments)]
-fn run_fabric(
+pub fn run_fabric(
     cfg: &SystemConfig,
     fab: FabricConfig,
-    what: &str,
-    golden: &DenseVector,
-    build_image: &dyn Fn() -> (Sram, layout::ProblemLayout),
-    m: &CsrMatrix,
-    emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
-    plan: Option<FaultPlan>,
-    baseline: &dyn Fn(&SystemConfig) -> RunOutput,
-) -> FabricRunOutput {
+    job: &Job,
+) -> Result<FabricRunOutput, JobError> {
+    let what = check_fabric(cfg, fab, job)?;
+    let golden = job.golden()?;
+    let m = job.matrix;
     let n0 = fab.tiles;
     let rows = m.rows();
     let mut health = vec![TileHealth::Healthy; n0];
@@ -599,7 +384,7 @@ fn run_fabric(
     let mut dropped = hht_obs::ObsDrops::default();
     let mut tile_events: Vec<Vec<hht_obs::Event>> = vec![Vec::new(); n0];
     let mut skip_spans: Vec<hht_obs::SkipSpan> = Vec::new();
-    let mut plan = plan;
+    let mut plan = job.plan.clone();
     let mut fallback_reason: Option<String> = None;
     let mut fallback_cycles = 0u64;
     // Retry-storm backstop: enough for every tile to burn its full retry
@@ -618,14 +403,6 @@ fn run_fabric(
             break;
         }
         let (assigned, taken) = assign_shards(m, &pending, survivors.len());
-        // Fresh image per attempt: failover restarts shards from clean
-        // state (a fault may have corrupted shared arrays), and the bump
-        // allocator re-places the rebased row-pointer copies.
-        let (mut sram, full) = build_image();
-        let layouts = layout::shard_layouts(&mut sram, &full, m, &assigned);
-        let programs = layouts.iter().map(emit).collect();
-        let fab_a = FabricConfig { tiles: survivors.len(), banks: fab.banks, arb: fab.arb };
-        let mem = SharedMemory::from_sram(sram, fab.banks, survivors.len());
         let mut attempt_cfg = *cfg;
         if attempt > 0 {
             // Retries run clean and untraced: the injected campaign (and
@@ -633,16 +410,19 @@ fn run_fabric(
             attempt_cfg.fault.seed = 0;
             attempt_cfg.trace.events = false;
         }
-        let mut fabric = Fabric::new(&attempt_cfg, fab_a, programs, mem);
+        // Fresh image per attempt: failover restarts shards from clean
+        // state (a fault may have corrupted shared arrays), and the bump
+        // allocator re-places the rebased row-pointer copies.
+        let (mut fabric, y_base) = shard_fabric(&attempt_cfg, fab, job, &assigned)?;
         if attempt == 0 {
             if let Some(p) = plan.take() {
                 fabric.set_fault_plan(p);
             }
         }
         let result = fabric.run();
-        if let Err(e) = &result {
+        if let Err(error) = &result {
             if !cfg.recovery {
-                panic!("{what}: fabric run failed: {e:?}");
+                return Err(JobError::FabricFault { what, error: error.clone() });
             }
         }
         let st = fabric.stats();
@@ -714,7 +494,7 @@ fn run_fabric(
                 // Clean domain: full stats absorb, salvage its row range —
                 // finished work is never re-run.
                 acc[g].absorb(&st.tiles[lt]);
-                let out = fabric.read_output(full.y_base + 4 * r0 as u32, r1 - r0);
+                let out = fabric.read_output(y_base + 4 * r0 as u32, r1 - r0);
                 y[r0..r1].copy_from_slice(out.as_slice());
             }
         }
@@ -735,18 +515,21 @@ fn run_fabric(
     }
 
     let mut yv = DenseVector::from(y);
-    if fallback_reason.is_none() && !matches_golden(&yv, golden) {
-        if !cfg.recovery {
-            verify(&yv, golden, what); // panics with the standard message
+    if fallback_reason.is_none() {
+        if let Err(detail) = check_golden(&yv, &golden) {
+            if !cfg.recovery {
+                return Err(JobError::Diverged { what, detail });
+            }
+            fallback_reason = Some(format!("{what}: assembled result diverges from golden"));
         }
-        fallback_reason = Some(format!("{what}: assembled result diverges from golden"));
     }
     if fallback_reason.is_some() {
         // Whole-run degradation: re-run on the baseline software path
         // (fault injection off), exactly like the single-system policy.
         let mut fb_cfg = *cfg;
         fb_cfg.fault.seed = 0;
-        let base = baseline(&fb_cfg);
+        let fallback = job.kernel.fallback().expect("shardable kernels have a fallback");
+        let base = run(&fb_cfg, &Job::new(fallback, job.matrix, job.operand))?;
         yv = base.y;
         wall += base.stats.cycles;
         fallback_cycles = base.stats.cycles;
@@ -761,7 +544,7 @@ fn run_fabric(
     }
 
     let recovered = fallback_reason.is_some() || attempts.iter().any(|a| !a.failed.is_empty());
-    FabricRunOutput {
+    Ok(FabricRunOutput {
         y: yv,
         stats: FabricStats { cycles: wall, tiles: acc, mem: mem_acc },
         tile_events,
@@ -777,139 +560,119 @@ fn run_fabric(
             fallback: fallback_reason,
             fallback_cycles,
         }),
+    })
+}
+
+/// Extra image words for `fab.tiles` shards' rebased row-pointer copies
+/// (plus per-array alignment slack).
+fn shard_words(fab: FabricConfig, m: &CsrMatrix) -> usize {
+    fab.tiles.saturating_mul(m.rows() + 1 + 8)
+}
+
+/// Validate a fabric job before anything is built or allocated; returns
+/// the fabric kernel's label.
+fn check_fabric(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    job: &Job,
+) -> Result<&'static str, JobError> {
+    let what = job.kernel.fabric_name().ok_or(JobError::NotShardable(job.kernel))?;
+    if fab.tiles == 0 {
+        return Err(JobError::NoTiles);
     }
+    if fab.banks == 0 {
+        return Err(JobError::NoBanks);
+    }
+    job.sram_size(cfg, shard_words(fab, job.matrix))?;
+    Ok(what)
 }
 
-/// Extra image words for the per-shard rebased row-pointer copies (plus
-/// per-array alignment slack).
-fn shard_words(m: &CsrMatrix, tiles: usize) -> usize {
-    tiles * (m.rows() + 1 + 8)
+/// Build the fabric for one attempt: the full image with room for
+/// `fab.tiles` shards' row-pointer copies, one kernel per entry of
+/// `shards`, and the banked memory over `shards.len()` tiles. Returns the
+/// fabric plus the output vector's base address.
+fn shard_fabric(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    job: &Job,
+    shards: &[(usize, usize)],
+) -> Result<(Fabric, u32), JobError> {
+    let m = job.matrix;
+    let (mut sram, full) = job.layout(cfg, shard_words(fab, m))?;
+    let layouts = layout::shard_layouts(&mut sram, &full, m, shards);
+    let programs = layouts.iter().map(|l| job.emit(cfg, l)).collect();
+    let tiles = shards.len();
+    let mem = SharedMemory::from_sram(sram, fab.banks, tiles);
+    Ok((Fabric::new(cfg, FabricConfig { tiles, ..fab }, programs, mem), full.y_base))
 }
 
-/// Build (but do not run) the N-tile SpMV fabric: the full problem image,
-/// per-shard programs, and the banked shared memory — exactly the fabric
-/// [`run_spmv_fabric`] would drive. The determinism suite uses this to
-/// step the fabric manually as a per-cycle oracle and to run differential
-/// schedulers over identical images without the golden-verify panic.
-/// Returns the fabric plus the output vector's base address.
+/// Build (but do not run) the fabric [`run_fabric`] would drive for `job`:
+/// the full problem image, nnz-balanced row shards, one kernel per tile,
+/// the banked shared memory and the job's fault plan. The determinism
+/// suite uses this to step the fabric manually as a per-cycle oracle and
+/// to run differential schedulers over identical images without the
+/// golden check. Returns the fabric plus the output vector's base address.
+pub fn build_fabric(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    job: &Job,
+) -> Result<(Fabric, u32), JobError> {
+    check_fabric(cfg, fab, job)?;
+    let (mut fabric, y_base) =
+        shard_fabric(cfg, fab, job, &layout::row_shards(job.matrix, fab.tiles))?;
+    if let Some(p) = &job.plan {
+        fabric.set_fault_plan(p.clone());
+    }
+    Ok((fabric, y_base))
+}
+
+// The frozen benchmark adapter's surface: one-line delegations.
+
+/// Run baseline SpMV: [`run`] on [`Kernel::SpmvBaseline`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
+pub fn run_spmv_baseline(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
+    run(cfg, &Job::new(Kernel::SpmvBaseline, m, v)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Run HHT-assisted SpMV: [`run`] on [`Kernel::SpmvHht`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
+pub fn run_spmv_hht(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
+    run(cfg, &Job::new(Kernel::SpmvHht, m, v)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Run baseline SpMSpV: [`run`] on [`Kernel::SpmspvBaseline`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
+pub fn run_spmspv_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
+    run(cfg, &Job::new(Kernel::SpmspvBaseline, m, x)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Run HHT SpMSpV variant 1: [`run`] on [`Kernel::SpmspvHhtV1`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
+pub fn run_spmspv_hht_v1(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
+    run(cfg, &Job::new(Kernel::SpmspvHhtV1, m, x)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Run HHT SpMSpV variant 2: [`run`] on [`Kernel::SpmspvHhtV2`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
+pub fn run_spmspv_hht_v2(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
+    run(cfg, &Job::new(Kernel::SpmspvHhtV2, m, x)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Build the SpMV fabric: [`build_fabric`] on [`Kernel::SpmvHht`], panicking on error.
+#[deprecated(note = "frozen perfbench surface; use runner::run / build_fabric")]
 pub fn build_spmv_fabric(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     v: &DenseVector,
 ) -> (Fabric, u32) {
-    let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
-    let full = layout::layout_spmv(&mut sram, m, v);
-    let shards = layout::row_shards(m, fab.tiles);
-    let layouts = layout::shard_layouts(&mut sram, &full, m, &shards);
-    let vectorized = cfg.core.vlen > 1;
-    let programs = layouts.iter().map(|sl| kernels::spmv_hht(sl, vectorized)).collect();
-    let mem = SharedMemory::from_sram(sram, fab.banks, fab.tiles);
-    (Fabric::new(cfg, fab, programs, mem), full.y_base)
-}
-
-/// Run HHT-assisted SpMV sharded row-block-wise across an N-tile fabric.
-pub fn run_spmv_fabric(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-) -> FabricRunOutput {
-    run_spmv_fabric_inner(cfg, fab, m, v, None)
-}
-
-/// Run HHT-assisted fabric SpMV with an explicit fault schedule (replacing
-/// any seed-derived plan from `cfg.fault`); the plan applies to the
-/// original attempt only — failover retries always run clean.
-pub fn run_spmv_fabric_with_plan(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: FaultPlan,
-) -> FabricRunOutput {
-    run_spmv_fabric_inner(cfg, fab, m, v, Some(plan))
-}
-
-fn run_spmv_fabric_inner(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: Option<FaultPlan>,
-) -> FabricRunOutput {
-    let gold = golden::spmv(m, v).expect("shapes validated by layout");
-    let vectorized = cfg.core.vlen > 1;
-    run_fabric(
-        cfg,
-        fab,
-        "spmv_fabric",
-        &gold,
-        &|| {
-            let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
-            let l = layout::layout_spmv(&mut sram, m, v);
-            (sram, l)
-        },
-        m,
-        &|sl| kernels::spmv_hht(sl, vectorized),
-        plan,
-        &|cfg| run_spmv_baseline(cfg, m, v),
-    )
-}
-
-/// Run HHT-assisted SpMSpV (variant 1: sparse gather against dense-indexed
-/// windows) sharded across an N-tile fabric.
-pub fn run_spmspv_fabric_v1(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-) -> FabricRunOutput {
-    run_spmspv_fabric(cfg, fab, m, x, "spmspv_fabric_v1", &kernels::spmspv_hht_v1)
-}
-
-/// Run HHT-assisted SpMSpV (variant 2: intersection in the HHT) sharded
-/// across an N-tile fabric.
-pub fn run_spmspv_fabric_v2(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-) -> FabricRunOutput {
-    run_spmspv_fabric(cfg, fab, m, x, "spmspv_fabric_v2", &kernels::spmspv_hht_v2)
-}
-
-/// Both SpMSpV fabric variants run over the same image and layout; only
-/// the emitted kernel differs.
-fn run_spmspv_fabric(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-    what: &str,
-    emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
-) -> FabricRunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_fabric(
-        cfg,
-        fab,
-        what,
-        &gold,
-        &|| {
-            let mut sram = sram_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            (sram, l)
-        },
-        m,
-        emit,
-        None,
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
+    build_fabric(cfg, fab, &Job::new(Kernel::SpmvHht, m, v)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Operand;
     use hht_sparse::generate;
     use proptest::prelude::*;
 
@@ -996,14 +759,24 @@ mod tests {
         }
     }
 
+    /// Run a job that must succeed.
+    fn ok<'a>(
+        cfg: &SystemConfig,
+        kernel: Kernel,
+        m: &'a CsrMatrix,
+        x: impl Into<Operand<'a>>,
+    ) -> RunOutput {
+        run(cfg, &Job::new(kernel, m, x)).unwrap()
+    }
+
     #[test]
     fn spmv_baseline_and_hht_agree_with_golden() {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(24, 24, 0.6, 11);
         let v = generate::random_dense_vector(24, 12);
-        let base = run_spmv_baseline(&cfg, &m, &v);
-        let hht = run_spmv_hht(&cfg, &m, &v);
-        // Both verified against golden inside the runners; also: HHT must
+        let base = ok(&cfg, Kernel::SpmvBaseline, &m, &v);
+        let hht = ok(&cfg, Kernel::SpmvHht, &m, &v);
+        // Both verified against golden inside the runner; also: HHT must
         // be faster.
         assert!(
             hht.stats.cycles < base.stats.cycles,
@@ -1018,8 +791,8 @@ mod tests {
         let cfg = SystemConfig::paper_default().with_vlen(1);
         let m = generate::random_csr(16, 16, 0.5, 21);
         let v = generate::random_dense_vector(16, 22);
-        let base = run_spmv_baseline(&cfg, &m, &v);
-        let hht = run_spmv_hht(&cfg, &m, &v);
+        let base = ok(&cfg, Kernel::SpmvBaseline, &m, &v);
+        let hht = ok(&cfg, Kernel::SpmvHht, &m, &v);
         assert!(hht.stats.cycles < base.stats.cycles);
     }
 
@@ -1028,9 +801,9 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(24, 24, 0.7, 31);
         let x = generate::random_sparse_vector(24, 0.7, 32);
-        let base = run_spmspv_baseline(&cfg, &m, &x);
-        let v1 = run_spmspv_hht_v1(&cfg, &m, &x);
-        let v2 = run_spmspv_hht_v2(&cfg, &m, &x);
+        let base = ok(&cfg, Kernel::SpmspvBaseline, &m, &x);
+        let v1 = ok(&cfg, Kernel::SpmspvHhtV1, &m, &x);
+        let v2 = ok(&cfg, Kernel::SpmspvHhtV2, &m, &x);
         assert!(v1.y.max_abs_diff(&base.y) < 1e-3);
         assert!(v2.y.max_abs_diff(&base.y) < 1e-3);
     }
@@ -1039,9 +812,8 @@ mod tests {
     fn smash_run_matches_golden() {
         let cfg = SystemConfig::paper_default();
         let csr = generate::random_csr(32, 32, 0.8, 41);
-        let m = SmashMatrix::from_triplets(32, 32, &csr.triplets()).unwrap();
         let v = generate::random_dense_vector(32, 42);
-        let out = run_smash_spmv_hht(&cfg, &m, &v);
+        let out = ok(&cfg, Kernel::SmashSpmvHht, &csr, &v);
         assert!(out.stats.cycles > 0);
     }
 
@@ -1050,9 +822,10 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(48, 48, 0.6, 61);
         let v = generate::random_dense_vector(48, 62);
-        let single = run_spmv_fabric(&cfg, FabricConfig::single(), &m, &v);
+        let job = Job::new(Kernel::SpmvHht, &m, &v);
+        let single = run_fabric(&cfg, FabricConfig::single(), &job).unwrap();
         for n in [2, 4] {
-            let out = run_spmv_fabric(&cfg, FabricConfig::scaled(n), &m, &v);
+            let out = run_fabric(&cfg, FabricConfig::scaled(n), &job).unwrap();
             assert_eq!(out.stats.tiles.len(), n);
             assert!(out.y.max_abs_diff(&single.y) < 1e-3);
         }
@@ -1063,9 +836,10 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(32, 32, 0.7, 71);
         let x = generate::random_sparse_vector(32, 0.7, 72);
-        // Verified against golden inside the runners.
-        let v1 = run_spmspv_fabric_v1(&cfg, FabricConfig::scaled(2), &m, &x);
-        let v2 = run_spmspv_fabric_v2(&cfg, FabricConfig::scaled(2), &m, &x);
+        // Verified against golden inside the runner.
+        let fab = FabricConfig::scaled(2);
+        let v1 = run_fabric(&cfg, fab, &Job::new(Kernel::SpmspvHhtV1, &m, &x)).unwrap();
+        let v2 = run_fabric(&cfg, fab, &Job::new(Kernel::SpmspvHhtV2, &m, &x)).unwrap();
         assert!(v1.y.max_abs_diff(&v2.y) < 1e-3);
     }
 
@@ -1074,9 +848,105 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(8, 8, 1.0, 51);
         let v = generate::random_dense_vector(8, 52);
-        let base = run_spmv_baseline(&cfg, &m, &v);
+        let base = ok(&cfg, Kernel::SpmvBaseline, &m, &v);
         assert!(base.y.as_slice().iter().all(|x| *x == 0.0));
-        let hht = run_spmv_hht(&cfg, &m, &v);
+        let hht = ok(&cfg, Kernel::SpmvHht, &m, &v);
         assert!(hht.y.as_slice().iter().all(|x| *x == 0.0));
+    }
+
+    /// One malformed or failing job per [`JobError`] variant: each comes
+    /// back as that error, with its message, instead of a panic.
+    #[test]
+    fn every_job_error_variant_is_returned() {
+        use hht_fault::{FaultEvent, FaultKind, FaultPlan};
+        let cfg = SystemConfig::paper_default();
+        let m = generate::random_csr(16, 16, 0.5, 81);
+        let v = generate::random_dense_vector(16, 82);
+        let short = generate::random_dense_vector(12, 83);
+        let x = generate::random_sparse_vector(16, 0.5, 84);
+        // An empty 40k x 40k matrix: its dense expansion needs 6.4 GB.
+        let wide = CsrMatrix::from_raw(40_000, 40_000, vec![0; 40_001], vec![], vec![]).unwrap();
+        let wide_v = DenseVector::zeros(40_000);
+        let spmv = Job::new(Kernel::SpmvHht, &m, &v);
+        let fab = FabricConfig::scaled(2);
+        let mut stuck = cfg;
+        stuck.core.max_cycles = 50_000;
+        let sticky = FaultPlan::new(vec![FaultEvent::new(200, FaultKind::MmrStickyError)]);
+        let kill = FaultPlan::new(vec![FaultEvent::on_tile(50, FaultKind::TileKill, 0)]);
+        let (_, l) = spmv.layout(&cfg, 0).unwrap();
+        let flip = FaultPlan::new(vec![FaultEvent::new(
+            1,
+            FaultKind::SramBitFlip { addr: l.v_base, bit: 30 },
+        )]);
+        let cases: Vec<(Result<(), JobError>, &str)> = vec![
+            (
+                run(&cfg, &Job::new(Kernel::SpmvHht, &m, &x)).map(drop),
+                "spmv_hht takes a dense operand, got a sparse one",
+            ),
+            (
+                run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &short)).map(drop),
+                "spmv_baseline: operand has 12 elements, matrix has 16 columns",
+            ),
+            (
+                run_fabric(&cfg, fab, &Job::new(Kernel::DenseMatvec, &m, &v)).map(drop),
+                "dense_matvec has no row-sharded fabric form",
+            ),
+            (run_fabric(&cfg, FabricConfig::scaled(0), &spmv).map(drop), "fabric has no tiles"),
+            (
+                run_fabric(&cfg, FabricConfig { banks: 0, ..fab }, &spmv).map(drop),
+                "fabric has no memory banks",
+            ),
+            (
+                run(&cfg, &Job::new(Kernel::DenseMatvec, &wide, &wide_v)).map(drop),
+                "past the 32-bit address space",
+            ),
+            (
+                run(&stuck, &spmv.clone().with_plan(sticky)).map(drop),
+                "spmv_hht kernel fault: watchdog",
+            ),
+            (
+                run_fabric(&cfg, fab, &spmv.clone().with_plan(kill)).map(drop),
+                "spmv_fabric: fabric run failed",
+            ),
+            (
+                run(&cfg, &spmv.clone().with_plan(flip)).map(drop),
+                "spmv_hht: simulated result diverges from golden: y[",
+            ),
+        ];
+        let mut variants = std::collections::HashSet::new();
+        for (result, text) in cases {
+            let e = result.expect_err(text);
+            assert!(e.to_string().contains(text), "{e} does not contain {text:?}");
+            variants.insert(std::mem::discriminant(&e));
+        }
+        assert_eq!(variants.len(), 9, "one case per JobError variant");
+    }
+
+    /// The frozen benchmark wrappers are bit-identical to the job calls
+    /// they delegate to.
+    #[test]
+    #[allow(deprecated)]
+    fn frozen_wrappers_match_the_job_path() {
+        let cfg = SystemConfig::paper_default();
+        let m = generate::random_csr(24, 24, 0.6, 91);
+        let v = generate::random_dense_vector(24, 92);
+        let x = generate::random_sparse_vector(24, 0.6, 93);
+        let same = |a: RunOutput, b: RunOutput| {
+            assert_eq!(a.y, b.y);
+            assert_eq!(a.stats, b.stats);
+            assert_eq!(a.sched, b.sched);
+        };
+        same(run_spmv_baseline(&cfg, &m, &v), ok(&cfg, Kernel::SpmvBaseline, &m, &v));
+        same(run_spmv_hht(&cfg, &m, &v), ok(&cfg, Kernel::SpmvHht, &m, &v));
+        same(run_spmspv_baseline(&cfg, &m, &x), ok(&cfg, Kernel::SpmspvBaseline, &m, &x));
+        same(run_spmspv_hht_v1(&cfg, &m, &x), ok(&cfg, Kernel::SpmspvHhtV1, &m, &x));
+        same(run_spmspv_hht_v2(&cfg, &m, &x), ok(&cfg, Kernel::SpmspvHhtV2, &m, &x));
+        let fab = FabricConfig::scaled(4);
+        let (mut a, ya) = build_spmv_fabric(&cfg, fab, &m, &v);
+        let (mut b, yb) = build_fabric(&cfg, fab, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+        assert_eq!(ya, yb);
+        assert_eq!(a.run().unwrap(), b.run().unwrap());
+        assert_eq!(a.sched_stats(), b.sched_stats());
+        assert_eq!(a.read_output(ya, 24), b.read_output(yb, 24));
     }
 }

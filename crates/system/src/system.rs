@@ -16,7 +16,7 @@ use hht_fault::FaultPlan;
 use hht_isa::Program;
 use hht_mem::{FabricMemory, SharedMemory, Sram, SramStats};
 use hht_obs::Event;
-use hht_sim::{Core, CoreStats, RunError};
+use hht_sim::{CoreStats, RunError};
 use hht_sparse::DenseVector;
 use serde::{Deserialize, Serialize};
 
@@ -141,20 +141,9 @@ impl System {
         self.fabric.mem()
     }
 
-    /// Borrow the core (for test inspection).
-    pub fn core(&self) -> &Core {
-        self.fabric.core(0)
-    }
-
     /// Host-side scheduler accounting: stepped vs skipped simulated cycles.
     pub fn sched_stats(&self) -> crate::fabric::SchedStats {
         self.fabric.sched_stats()
-    }
-
-    /// Move the recorded clock jumps out of the scheduler's sink (empty
-    /// when tracing is off or the per-cycle scheduler ran).
-    pub fn take_skip_spans(&mut self) -> Vec<hht_obs::SkipSpan> {
-        self.fabric.take_skip_spans()
     }
 
     /// Ring-buffer eviction counters for every observability sink. Read
@@ -167,12 +156,6 @@ impl System {
     /// timeline (empty when the system was built without event sinks).
     pub fn take_events(&mut self) -> Vec<Event> {
         self.fabric.take_tile_events(0)
-    }
-
-    /// Drain the event streams and render them as Chrome trace-event JSON
-    /// (load in `chrome://tracing` or <https://ui.perfetto.dev>).
-    pub fn chrome_trace_json(&mut self) -> String {
-        hht_obs::chrome::chrome_trace_json(&self.take_events())
     }
 }
 

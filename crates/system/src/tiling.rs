@@ -16,9 +16,10 @@
 //!   tiling overhead the `ablate-tiling` figure quantifies.
 
 use crate::config::SystemConfig;
+use crate::job::sram_bytes;
 use crate::kernels::emit_hht_setup_regs;
 use crate::layout::ImageBuilder;
-use crate::runner::RunOutput;
+use crate::runner::{check_golden, drain, RunOutput};
 use crate::system::System;
 use hht_accel::hht::window;
 use hht_accel::mmr::reg;
@@ -190,11 +191,12 @@ pub fn run_spmv_tiled(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector, tile: 
     assert!(tile >= 1, "tile must be positive");
     assert_eq!(m.cols(), v.len(), "matrix/vector width mismatch");
     // Size the SRAM: tiles add (tile+1) row-ptr words per non-empty block
-    // plus the descriptor table; over-provision generously.
+    // plus the descriptor table and 8 words of alignment slack per block;
+    // over-provision generously.
     let blocks = m.rows().div_ceil(tile) * m.cols().div_ceil(tile);
     let words = 2 * m.nnz() + blocks * (tile + 1 + 8) + v.len() + m.rows() + 64;
-    let needed = (0x100 + 4 * words as u64 + 32 * (blocks as u64 + 8)).next_multiple_of(4096);
-    let mut sram = Sram::new((cfg.ram_size as u64).max(needed) as u32, cfg.ram_word_cycles);
+    let bytes = sram_bytes(cfg.ram_size, words + 8 * blocks).expect("tiled image fits 4 GiB");
+    let mut sram = Sram::new(bytes, cfg.ram_word_cycles);
     let mut builder = ImageBuilder::new(&mut sram, 0x100);
     let v_base = builder.place_f32s(v.as_slice());
     let y_base = builder.place_output(m.rows());
@@ -204,18 +206,17 @@ pub fn run_spmv_tiled(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector, tile: 
     let stats = sys.run().expect("tiled SpMV kernel fault");
     let y = sys.read_output(y_base, m.rows());
     let gold = golden::spmv(m, v).expect("shapes validated");
-    let scale = gold.as_slice().iter().fold(1.0f32, |a, b| a.max(b.abs()));
-    assert!(y.max_abs_diff(&gold) <= 1e-3 * scale, "tiled SpMV diverges from golden (tile={tile})");
-    // Counters first, then drain: `take_events` resets the sink rings.
-    let sched = sys.sched_stats();
-    let dropped = sys.obs_drops();
-    let events = sys.take_events();
+    if let Err(e) = check_golden(&y, &gold) {
+        panic!("tiled SpMV diverges from golden (tile={tile}): {e}");
+    }
+    let (sched, dropped, events) = drain(&mut sys);
     TiledRun { out: RunOutput { y, stats, events, recovery: None, sched, dropped }, tiles }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{Job, Kernel};
     use crate::runner;
     use hht_sparse::generate;
 
@@ -224,7 +225,7 @@ mod tests {
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(48, 48, 0.6, 7);
         let v = generate::random_dense_vector(48, 8);
-        let untiled = runner::run_spmv_hht(&cfg, &m, &v);
+        let untiled = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         for tile in [8usize, 16, 24, 48] {
             let t = run_spmv_tiled(&cfg, &m, &v, tile);
             assert!(t.out.y.max_abs_diff(&untiled.y) < 1e-3, "tile={tile} diverges");

@@ -10,10 +10,10 @@
 use hht::energy::{energy_savings, ClockSpeed, ProcessNode};
 use hht::sparse::{generate, SparseFormat};
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 use hht::workloads::dnn;
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let want = std::env::args().nth(1).unwrap_or_else(|| "MobileNet".to_string());
     let layer = dnn::suite()
         .into_iter()
@@ -40,8 +40,8 @@ fn main() {
     // vector coming out of the backbone.
     let activations = generate::random_dense_vector(weights.cols(), 7);
     let cfg = SystemConfig::paper_default();
-    let base = runner::run_spmv_baseline(&cfg, &weights, &activations);
-    let hht = runner::run_spmv_hht(&cfg, &weights, &activations);
+    let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &weights, &activations))?;
+    let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &weights, &activations))?;
     let speedup = base.stats.cycles as f64 / hht.stats.cycles as f64;
     println!("baseline:     {} cycles", base.stats.cycles);
     println!("with HHT:     {} cycles ({speedup:.2}x)", hht.stats.cycles);
@@ -72,4 +72,5 @@ fn main() {
         .map(|(i, _)| i)
         .expect("non-empty output");
     println!("argmax class: {best}");
+    Ok(())
 }

@@ -10,9 +10,9 @@
 
 use hht::sparse::generate;
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let cfg = SystemConfig::paper_default();
     let n = 256;
     println!(
@@ -24,9 +24,9 @@ fn main() {
     for sparsity in [0.5, 0.7, 0.9, 0.95] {
         let m = generate::random_csr(n, n, sparsity, 0xE0 + (sparsity * 100.0) as u64);
         let x = generate::random_sparse_vector(n, sparsity, 0xF0 + (sparsity * 100.0) as u64);
-        let base = runner::run_spmspv_baseline(&cfg, &m, &x);
-        let v1 = runner::run_spmspv_hht_v1(&cfg, &m, &x);
-        let v2 = runner::run_spmspv_hht_v2(&cfg, &m, &x);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmspvBaseline, &m, &x))?;
+        let v1 = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV1, &m, &x))?;
+        let v2 = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV2, &m, &x))?;
         assert!(v1.y.max_abs_diff(&base.y) < 1e-3);
         assert!(v2.y.max_abs_diff(&base.y) < 1e-3);
         println!(
@@ -44,4 +44,5 @@ fn main() {
     println!("but the HHT does the whole merge and the CPU idles (Fig. 7).");
     println!("variant-2 supplies value-or-zero per matrix nnz — the CPU multiplies");
     println!("zeros at high sparsity but is rarely stalled (Sec. 5.1).");
+    Ok(())
 }

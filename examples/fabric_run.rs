@@ -16,17 +16,19 @@
 use hht::obs::chrome::chrome_trace_json_tiles;
 use hht::sparse::generate;
 use hht::system::config::{SystemConfig, TraceConfig};
-use hht::system::{runner, FabricConfig};
+use hht::system::{runner, FabricConfig, Job, JobError, Kernel};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let n = 256;
     let cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
     // The paper's headline shape at reduced n: 10% density (90% sparsity).
     let m = generate::random_csr(n, n, 0.9, 0xFAB);
     let v = generate::random_dense_vector(n, 0xFAC);
 
-    let single = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(1), &m, &v);
-    let fabric = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(4), &m, &v);
+    let single =
+        runner::run_fabric(&cfg, FabricConfig::scaled(1), &Job::new(Kernel::SpmvHht, &m, &v))?;
+    let fabric =
+        runner::run_fabric(&cfg, FabricConfig::scaled(4), &Job::new(Kernel::SpmvHht, &m, &v))?;
     let s = &fabric.stats;
 
     println!("== SpMV {n}x{n}, 90% sparsity: 1 tile vs 4 tiles ==");
@@ -73,4 +75,5 @@ fn main() {
         trace_path.display()
     );
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
+    Ok(())
 }

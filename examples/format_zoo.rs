@@ -11,9 +11,9 @@ use hht::sparse::{
     SmashMatrix, SparseFormat,
 };
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let sparsity: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.85);
     let n = 128;
     let csr = generate::random_csr(n, n, sparsity, 99);
@@ -63,12 +63,13 @@ fn main() {
     // §6: the HHT programmed for SMASH (hierarchical bitmaps) vs CSR.
     let cfg = SystemConfig::paper_default();
     let v = generate::random_dense_vector(n, 100);
-    let via_csr = runner::run_spmv_hht(&cfg, &csr, &v);
-    let via_smash = runner::run_smash_spmv_hht(&cfg, &smash, &v);
+    let via_csr = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &csr, &v))?;
+    let via_smash = runner::run(&cfg, &Job::new(Kernel::SmashSpmvHht, &csr, &v))?;
     assert!(via_csr.y.max_abs_diff(&via_smash.y) < 1e-3);
     println!("\nHHT SpMV via CSR:   {} cycles", via_csr.stats.cycles);
     println!(
         "HHT SpMV via SMASH: {} cycles (more indexing work in the HHT, Sec. 6)",
         via_smash.stats.cycles
     );
+    Ok(())
 }

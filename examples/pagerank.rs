@@ -13,7 +13,7 @@
 
 use hht::sparse::{generate, CsrMatrix, DenseVector, SparseFormat};
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 
 const DAMPING: f32 = 0.85;
 
@@ -42,7 +42,7 @@ fn host_step(m: &CsrMatrix, rank: &DenseVector) -> DenseVector {
     )
 }
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(128);
     let iters: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(10);
     let adj = generate::power_law_csr(n, (n as f64 * 0.04).max(3.0), 0x9A6E);
@@ -57,8 +57,8 @@ fn main() {
     let mut rank = DenseVector::from(vec![1.0 / n as f32; n]);
     let (mut base_cycles, mut hht_cycles) = (0u64, 0u64);
     for it in 0..iters {
-        let base = runner::run_spmv_baseline(&cfg, &m, &rank);
-        let hht = runner::run_spmv_hht(&cfg, &m, &rank);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &rank))?;
+        let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &rank))?;
         base_cycles += base.stats.cycles;
         hht_cycles += hht.stats.cycles;
         // The damping update runs host-side (it is dense and trivial); the
@@ -82,4 +82,5 @@ fn main() {
         base_cycles as f64 / 1.1e9 * 1e3,
         hht_cycles as f64 / 1.1e9 * 1e3
     );
+    Ok(())
 }

@@ -11,20 +11,17 @@
 //! the HHT version's CPU stream.
 
 use hht::accel::{Hht, HhtParams};
-use hht::mem::Sram;
 use hht::sim::profile::InstructionMix;
 use hht::sim::Core;
 use hht::sparse::generate;
 use hht::system::config::SystemConfig;
-use hht::system::{kernels, layout};
+use hht::system::{Job, Kernel};
 
 fn traced_run(cfg: &SystemConfig, hht_kernel: bool) -> (InstructionMix, u64) {
     let m = generate::random_csr(64, 64, 0.6, 7);
     let v = generate::random_dense_vector(64, 8);
-    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-    let l = layout::layout_spmv(&mut sram, &m, &v);
-    let program =
-        if hht_kernel { kernels::spmv_hht(&l, true) } else { kernels::spmv_baseline(&l, true) };
+    let kernel = if hht_kernel { Kernel::SpmvHht } else { Kernel::SpmvBaseline };
+    let (mut sram, program, _) = Job::new(kernel, &m, &v).image(cfg).unwrap();
     let mut core = Core::new(cfg.core, program);
     core.enable_trace();
     let mut hht = Hht::new(HhtParams::default());

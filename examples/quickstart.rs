@@ -11,9 +11,9 @@
 
 use hht::sparse::{generate, SparseFormat};
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     // Table-1 configuration: RV32 with VL=8, ASIC HHT with 2 buffers.
     let cfg = SystemConfig::paper_default();
 
@@ -29,17 +29,18 @@ fn main() {
     );
 
     // Baseline: the CPU does everything, including the v[cols[k]] gather.
-    let base = runner::run_spmv_baseline(&cfg, &m, &v);
+    let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v))?;
     println!("baseline (CPU only):   {:>9} cycles", base.stats.cycles);
 
     // HHT: the accelerator walks the metadata and pre-gathers v values.
-    let hht = runner::run_spmv_hht(&cfg, &m, &v);
+    let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v))?;
     println!("with HHT:              {:>9} cycles", hht.stats.cycles);
     println!("speedup:               {:>9.2}x", base.stats.cycles as f64 / hht.stats.cycles as f64);
     println!("CPU waited for HHT:    {:>8.1}% of cycles", hht.stats.cpu_wait_frac() * 100.0);
 
-    // Both runners verified the numeric result against the golden kernel;
+    // Both runs were verified against the golden kernel inside the runner;
     // show a couple of entries anyway.
     println!("y[0..4] = {:?}", &hht.y.as_slice()[..4]);
     assert_eq!(base.y, hht.y);
+    Ok(())
 }

@@ -15,13 +15,13 @@
 use hht::obs::chrome::chrome_trace_json;
 use hht::sparse::generate;
 use hht::system::config::{SystemConfig, TraceConfig};
-use hht::system::runner;
+use hht::system::{runner, Job, JobError, Kernel};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     let cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
     let m = generate::random_csr(96, 96, 0.6, 7);
     let v = generate::random_dense_vector(96, 8);
-    let out = runner::run_spmv_hht(&cfg, &m, &v);
+    let out = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v))?;
 
     let snap = out.stats.snapshot();
     snap.validate().expect("stall histogram must sum to the wait counters");
@@ -46,4 +46,5 @@ fn main() {
         trace_path.display()
     );
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
+    Ok(())
 }

@@ -6,7 +6,7 @@
 use hht::fault::FaultConfig;
 use hht::sparse::generate;
 use hht::system::config::{Scheduler, SystemConfig, TraceConfig};
-use hht::system::{experiments, runner, RunOutput};
+use hht::system::{experiments, runner, Job, Kernel, RunOutput};
 use proptest::prelude::*;
 
 #[test]
@@ -14,8 +14,8 @@ fn repeated_runs_are_bit_identical() {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(48, 48, 0.6, 1234);
     let v = generate::random_dense_vector(48, 1235);
-    let a = runner::run_spmv_hht(&cfg, &m, &v);
-    let b = runner::run_spmv_hht(&cfg, &m, &v);
+    let a = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+    let b = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.y, b.y);
 }
@@ -26,8 +26,8 @@ fn experiment_points_are_reproducible() {
     let a = experiments::spmv_point(&cfg, 48, 0.5, 2);
     let b = experiments::spmv_point(&cfg, 48, 0.5, 2);
     assert_eq!(a, b);
-    let c = experiments::spmspv_point(&cfg, 48, 0.5, 2, experiments::SpMSpVKind::V1);
-    let d = experiments::spmspv_point(&cfg, 48, 0.5, 2, experiments::SpMSpVKind::V1);
+    let c = experiments::spmspv_point(&cfg, 48, 0.5, 2, Kernel::SpmspvHhtV1);
+    let d = experiments::spmspv_point(&cfg, 48, 0.5, 2, Kernel::SpmspvHhtV1);
     assert_eq!(c, d);
 }
 
@@ -38,8 +38,8 @@ fn different_seeds_give_different_matrices_same_trends() {
     for seed in [1u64, 1000, 424242] {
         let m = generate::random_csr(64, 64, 0.5, seed);
         let v = generate::random_dense_vector(64, seed ^ 0xF);
-        let base = runner::run_spmv_baseline(&cfg, &m, &v);
-        let hht = runner::run_spmv_hht(&cfg, &m, &v);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+        let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         assert!(
             hht.stats.cycles < base.stats.cycles,
             "seed {seed}: {} !< {}",
@@ -54,7 +54,7 @@ fn stats_are_internally_consistent() {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(48, 48, 0.5, 7);
     let v = generate::random_dense_vector(48, 8);
-    let out = runner::run_spmv_hht(&cfg, &m, &v);
+    let out = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     let s = out.stats;
     // The HHT delivered exactly nnz elements through the primary window.
     assert_eq!(s.hht.elements_delivered, 48 * 48 / 2);
@@ -72,37 +72,49 @@ fn stats_are_internally_consistent() {
 // Cycle-skipping scheduler vs legacy per-cycle loop
 // ---------------------------------------------------------------------------
 
-/// Run every kernel flavour once for a given config; index selects one.
-fn run_kernel(cfg: &SystemConfig, kernel: usize, n: usize, sparsity: f64, seed: u64) -> RunOutput {
-    let m = generate::random_csr(n, n, sparsity, seed);
-    match kernel {
-        0 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_baseline(cfg, &m, &v)
-        }
-        1 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_hht(cfg, &m, &v)
-        }
-        2 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_hht_v1(cfg, &m, &x)
-        }
-        3 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_hht_v2(cfg, &m, &x)
-        }
-        4 => {
-            use hht::sparse::{SmashMatrix, SparseFormat};
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            let sm = SmashMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets");
-            runner::run_smash_spmv_hht(cfg, &sm, &v)
-        }
-        _ => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_hht_programmable(cfg, &m, &v)
+/// The single-tile kernels the scheduler differentials index into.
+const KERNELS: [Kernel; 6] = [
+    Kernel::SpmvBaseline,
+    Kernel::SpmvHht,
+    Kernel::SpmspvHhtV1,
+    Kernel::SpmspvHhtV2,
+    Kernel::SmashSpmvHht,
+    Kernel::SpmvHhtProgrammable,
+];
+
+/// The row-shardable kernels the fabric differentials index into.
+const FABRIC_KERNELS: [Kernel; 3] = [Kernel::SpmvHht, Kernel::SpmspvHhtV1, Kernel::SpmspvHhtV2];
+
+/// The problem one test case runs: an `n x n` matrix plus a dense and a
+/// sparse operand (each kernel uses the one it takes).
+struct Problem {
+    m: hht::sparse::CsrMatrix,
+    v: hht::sparse::DenseVector,
+    x: hht::sparse::SparseVector,
+}
+
+impl Problem {
+    fn new(n: usize, sparsity: f64, seed: u64) -> Self {
+        Problem {
+            m: generate::random_csr(n, n, sparsity, seed),
+            v: generate::random_dense_vector(n, seed ^ 1),
+            x: generate::random_sparse_vector(n, sparsity, seed ^ 2),
         }
     }
+
+    fn job(&self, kernel: Kernel) -> Job<'_> {
+        if kernel.takes_sparse_operand() {
+            Job::new(kernel, &self.m, &self.x)
+        } else {
+            Job::new(kernel, &self.m, &self.v)
+        }
+    }
+}
+
+/// Run one kernel of [`KERNELS`] for a given config.
+fn run_kernel(cfg: &SystemConfig, kernel: usize, n: usize, sparsity: f64, seed: u64) -> RunOutput {
+    let p = Problem::new(n, sparsity, seed);
+    runner::run(cfg, &p.job(KERNELS[kernel])).unwrap()
 }
 
 /// The skip-mode and legacy-mode runs of one kernel must agree bit-for-bit
@@ -203,9 +215,9 @@ fn cycle_skipping_matches_legacy_on_figure_sweep_cells() {
 // One-tile fabric vs the preserved pre-refactor machine (LegacySystem)
 // ---------------------------------------------------------------------------
 
-/// Build the full-problem image and HHT program for one kernel flavour so
-/// the port-based one-tile fabric and the pre-refactor `LegacySystem` can
-/// run bit-identical inputs.
+/// Build the full-problem image and program for one kernel of
+/// [`FABRIC_KERNELS`] so the port-based one-tile fabric and the
+/// pre-refactor `LegacySystem` can run bit-identical inputs.
 fn build_image(
     cfg: &SystemConfig,
     kernel: usize,
@@ -213,27 +225,9 @@ fn build_image(
     sparsity: f64,
     seed: u64,
 ) -> (hht::mem::Sram, hht::isa::Program, u32, usize) {
-    use hht::system::{kernels, layout};
-    let m = generate::random_csr(n, n, sparsity, seed);
-    let mut sram = hht::mem::Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-    let (l, program) = match kernel {
-        0 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            let l = layout::layout_spmv(&mut sram, &m, &v);
-            (l, kernels::spmv_hht(&l, cfg.core.vlen > 1))
-        }
-        1 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
-            (l, kernels::spmspv_hht_v1(&l))
-        }
-        _ => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
-            (l, kernels::spmspv_hht_v2(&l))
-        }
-    };
-    (sram, program, l.y_base, n)
+    let p = Problem::new(n, sparsity, seed);
+    let (sram, program, y_base) = p.job(FABRIC_KERNELS[kernel]).image(cfg).unwrap();
+    (sram, program, y_base, n)
 }
 
 /// The one-tile port-based fabric (via the `System` wrapper) must agree
@@ -297,18 +291,18 @@ fn multi_tile_fabric_skip_matches_per_cycle() {
     let v = generate::random_dense_vector(40, 0xF4C);
     for tiles in [2usize, 4] {
         let traced = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
-        let skip = runner::run_spmv_fabric(
+        let skip = runner::run_fabric(
             &traced.with_scheduler(Scheduler::EventQueue),
             FabricConfig::scaled(tiles),
-            &m,
-            &v,
-        );
-        let step = runner::run_spmv_fabric(
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
+        let step = runner::run_fabric(
             &traced.with_scheduler(Scheduler::PerCycle),
             FabricConfig::scaled(tiles),
-            &m,
-            &v,
-        );
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         assert_eq!(skip.stats, step.stats, "tiles={tiles}");
         assert_eq!(skip.y, step.y);
         assert_eq!(skip.tile_events, step.tile_events, "tiles={tiles}");
@@ -321,8 +315,8 @@ fn multi_tile_fabric_skip_matches_per_cycle() {
 // the per-cycle loop)
 // ---------------------------------------------------------------------------
 
-/// Run one fabric kernel flavour for a given config; index selects one.
-/// A fault plan applies to the SpMV kernel only (index 0).
+/// Run one kernel of [`FABRIC_KERNELS`] for a given config, under `plan`
+/// when one is given.
 fn run_fabric_kernel(
     cfg: &SystemConfig,
     kernel: usize,
@@ -333,25 +327,10 @@ fn run_fabric_kernel(
     plan: Option<hht::fault::FaultPlan>,
 ) -> runner::FabricRunOutput {
     use hht::system::FabricConfig;
-    let fab = FabricConfig::scaled(tiles);
-    let m = generate::random_csr(n, n, sparsity, seed);
-    match kernel {
-        0 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            match plan {
-                Some(plan) => runner::run_spmv_fabric_with_plan(cfg, fab, &m, &v, plan),
-                None => runner::run_spmv_fabric(cfg, fab, &m, &v),
-            }
-        }
-        1 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_fabric_v1(cfg, fab, &m, &x)
-        }
-        _ => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_fabric_v2(cfg, fab, &m, &x)
-        }
-    }
+    let p = Problem::new(n, sparsity, seed);
+    let mut job = p.job(FABRIC_KERNELS[kernel]);
+    job.plan = plan;
+    runner::run_fabric(cfg, FabricConfig::scaled(tiles), &job).unwrap()
 }
 
 /// The event-queue and per-cycle runs of one fabric kernel must agree
@@ -477,10 +456,15 @@ fn event_queue_matches_lockstep_under_fault_injection() {
             .with_hht_timeout(64)
             .with_fault(FaultConfig { seed: fault_seed, max_faults: 3, horizon: 4096 });
         let fab = FabricConfig::scaled(tiles);
-        let (mut eq, y_base) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
+        let (mut eq, y_base) =
+            runner::build_fabric(&cfg, fab, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         let eq_res = eq.run();
-        let (mut pc, _) =
-            runner::build_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
+        let (mut pc, _) = runner::build_fabric(
+            &cfg.with_scheduler(Scheduler::PerCycle),
+            fab,
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         let pc_res = pc.run();
         assert_eq!(
             format!("{eq_res:?}"),
@@ -521,7 +505,12 @@ fn event_queue_matches_lockstep_under_recovery_failover() {
             )
         };
         let run = |scheduler| {
-            runner::run_spmv_fabric_with_plan(&cfg.with_scheduler(scheduler), fab, &m, &v, plan())
+            runner::run_fabric(
+                &cfg.with_scheduler(scheduler),
+                fab,
+                &Job::new(Kernel::SpmvHht, &m, &v).with_plan(plan()),
+            )
+            .unwrap()
         };
         let eq = run(Scheduler::EventQueue);
         let pc = run(Scheduler::PerCycle);
@@ -578,7 +567,8 @@ fn event_queue_parks_are_architecturally_inert() {
             .with_ram_word_cycles(8)
             .with_trace(TraceConfig::enabled());
         let fab = FabricConfig::scaled(tiles);
-        let (mut eq, _) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
+        let (mut eq, _) =
+            runner::build_fabric(&cfg, fab, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         let wall = eq.run().expect("event-queue run").cycles;
         let parks = eq.take_park_spans();
         let total: usize = parks.iter().map(Vec::len).sum();
@@ -589,8 +579,12 @@ fn event_queue_parks_are_architecturally_inert() {
         // differential tests pin to the identical timeline).
         let boundaries: BTreeSet<u64> =
             parks.iter().flatten().flat_map(|s| [s.start, s.end]).collect();
-        let (mut oracle, _) =
-            runner::build_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
+        let (mut oracle, _) = runner::build_fabric(
+            &cfg.with_scheduler(Scheduler::PerCycle),
+            fab,
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         let mut at: BTreeMap<u64, Vec<[u64; 12]>> = BTreeMap::new();
         while oracle.cycle() < wall {
             if boundaries.contains(&oracle.cycle()) {
@@ -708,8 +702,18 @@ fn dram_window_parks_replay_identically() {
             .with_dram(DramConfig::slow_300ns().with_window(1).with_bandwidth(2))
             .with_trace(TraceConfig::enabled());
         let fab = FabricConfig::scaled(tiles);
-        let eq = runner::run_spmv_fabric(&cfg.with_scheduler(Scheduler::EventQueue), fab, &m, &v);
-        let step = runner::run_spmv_fabric(&cfg.with_scheduler(Scheduler::PerCycle), fab, &m, &v);
+        let eq = runner::run_fabric(
+            &cfg.with_scheduler(Scheduler::EventQueue),
+            fab,
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
+        let step = runner::run_fabric(
+            &cfg.with_scheduler(Scheduler::PerCycle),
+            fab,
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         assert_eq!(eq.stats, step.stats, "tiles={tiles}: event queue vs per-cycle");
         assert_eq!(eq.y, step.y, "tiles={tiles}");
         assert_eq!(eq.tile_events, step.tile_events, "tiles={tiles}");
@@ -756,7 +760,9 @@ fn deadlock_still_jumps_to_the_watchdog() {
     let retired_by = |limit: u64| {
         let mut c = cfg.with_scheduler(Scheduler::PerCycle);
         c.core.max_cycles = limit;
-        let (mut f, _) = runner::build_spmv_fabric(&c, FabricConfig::single(), &m, &v);
+        let (mut f, _) =
+            runner::build_fabric(&c, FabricConfig::single(), &Job::new(Kernel::SpmvHht, &m, &v))
+                .unwrap();
         f.set_fault_plan(plan());
         f.run().expect_err("a dead HHT must deadlock the kernel");
         f.stats().tiles[0].core.instructions
@@ -774,7 +780,9 @@ fn deadlock_still_jumps_to_the_watchdog() {
     assert!((300..10_000).contains(&onset), "onset {onset}: the fault must stall the kernel");
 
     cfg.core.max_cycles = 1_000_000_000_000;
-    let (mut fabric, _) = runner::build_spmv_fabric(&cfg, FabricConfig::single(), &m, &v);
+    let (mut fabric, _) =
+        runner::build_fabric(&cfg, FabricConfig::single(), &Job::new(Kernel::SpmvHht, &m, &v))
+            .unwrap();
     fabric.set_fault_plan(plan());
     let err = fabric.run().expect_err("a dead HHT must deadlock the kernel");
     assert_eq!(err.first(), RunError::Watchdog(cfg.core.max_cycles));

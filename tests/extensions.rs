@@ -6,7 +6,7 @@
 use hht::sim::config::CacheGeometry;
 use hht::sparse::{generate, io, SparseFormat};
 use hht::system::config::SystemConfig;
-use hht::system::{experiments, runner, tiling};
+use hht::system::{experiments, runner, tiling, Job, Kernel};
 use std::io::Cursor;
 
 #[test]
@@ -14,8 +14,8 @@ fn programmable_hht_is_correct_but_slower_than_asic() {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(64, 64, 0.6, 3);
     let v = generate::random_dense_vector(64, 4);
-    let asic = runner::run_spmv_hht(&cfg, &m, &v);
-    let prog = runner::run_spmv_hht_programmable(&cfg, &m, &v);
+    let asic = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+    let prog = runner::run(&cfg, &Job::new(Kernel::SpmvHhtProgrammable, &m, &v)).unwrap();
     assert_eq!(asic.y, prog.y, "both back-ends must compute the same result");
     assert!(
         prog.stats.cycles > asic.stats.cycles,
@@ -30,7 +30,7 @@ fn programmable_gap_narrows_at_high_sparsity() {
     // Fewer elements per row -> fixed overheads dominate -> the per-element
     // microprogram penalty matters less.
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::programmable_ablation(&cfg, 64);
+    let pts = experiments::programmable_ablation(&cfg, 64, 1);
     let lo = &pts[0];
     let hi = &pts[8];
     let gap_lo = lo.asic_speedup() / lo.programmable_speedup();
@@ -43,7 +43,7 @@ fn tiled_spmv_matches_untiled_at_paper_tile_size() {
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(80, 80, 0.7, 13);
     let v = generate::random_dense_vector(80, 14);
-    let untiled = runner::run_spmv_hht(&cfg, &m, &v);
+    let untiled = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     let tiled = tiling::run_spmv_tiled(&cfg, &m, &v, 16);
     assert!(tiled.out.y.max_abs_diff(&untiled.y) < 1e-3);
     // Tiling costs extra cycles (MMR reprogramming + y read-modify-write).
@@ -56,8 +56,8 @@ fn l1d_changes_timing_not_results() {
     let cached = cfg.with_l1d(CacheGeometry::embedded_4k());
     let m = generate::random_csr(64, 64, 0.5, 23);
     let v = generate::random_dense_vector(64, 24);
-    let plain = runner::run_spmv_baseline(&cfg, &m, &v);
-    let with_cache = runner::run_spmv_baseline(&cached, &m, &v);
+    let plain = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+    let with_cache = runner::run(&cached, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
     assert_eq!(plain.y, with_cache.y);
     // Sequential CSR streams cache well: the cached baseline is faster on
     // slow memory.
@@ -84,8 +84,8 @@ fn l1d_composes_over_dram_backend() {
     let cached = dram.with_l1d(CacheGeometry::embedded_4k());
     let m = generate::random_csr(64, 64, 0.5, 23);
     let v = generate::random_dense_vector(64, 24);
-    let plain = runner::run_spmv_baseline(&dram, &m, &v);
-    let with_cache = runner::run_spmv_baseline(&cached, &m, &v);
+    let plain = runner::run(&dram, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+    let with_cache = runner::run(&cached, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
     assert_eq!(plain.y, with_cache.y, "the cache must not change the numeric result");
     assert!(
         with_cache.stats.cycles < plain.stats.cycles,
@@ -110,8 +110,10 @@ fn l1d_over_flat_dram_is_bit_identical_to_l1d_over_shared() {
         .with_l1d(CacheGeometry::embedded_4k());
     let m = generate::random_csr(64, 64, 0.5, 23);
     let v = generate::random_dense_vector(64, 24);
-    let shared = runner::run_spmv_baseline(&cached, &m, &v);
-    let flat = runner::run_spmv_baseline(&cached.with_dram(DramConfig::flat()), &m, &v);
+    let shared = runner::run(&cached, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+    let flat =
+        runner::run(&cached.with_dram(DramConfig::flat()), &Job::new(Kernel::SpmvBaseline, &m, &v))
+            .unwrap();
     assert_eq!(shared.stats, flat.stats);
     assert_eq!(shared.y, flat.y);
 }
@@ -119,7 +121,7 @@ fn l1d_over_flat_dram_is_bit_identical_to_l1d_over_shared() {
 #[test]
 fn dense_expansion_crossover_exists_for_the_baseline() {
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::crossover(&cfg, 96);
+    let pts = experiments::crossover(&cfg, 96, 1);
     // At 10% sparsity the dense kernel beats the sparse *baseline*
     // (the [40]/[23] observation)...
     assert!(pts[0].dense_cycles < pts[0].sparse_baseline_cycles);
@@ -142,8 +144,8 @@ fn matrix_market_round_trips_through_the_simulator() {
     let m2 = io::read_matrix_market_csr(Cursor::new(buf)).unwrap();
     assert_eq!(m, m2);
     let v = generate::random_dense_vector(48, 34);
-    let a = runner::run_spmv_hht(&cfg, &m, &v);
-    let b = runner::run_spmv_hht(&cfg, &m2, &v);
+    let a = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+    let b = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m2, &v)).unwrap();
     assert_eq!(a.stats.cycles, b.stats.cycles);
     assert_eq!(a.y, b.y);
 }
@@ -154,8 +156,8 @@ fn conv_layers_lower_and_accelerate() {
     for (name, layer) in hht::workloads::conv::suite() {
         let w = layer.lowered_weights();
         let patch = layer.input_patch(0);
-        let base = runner::run_spmv_baseline(&cfg, &w, &patch);
-        let hht_run = runner::run_spmv_hht(&cfg, &w, &patch);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &w, &patch)).unwrap();
+        let hht_run = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &w, &patch)).unwrap();
         let speedup = base.stats.cycles as f64 / hht_run.stats.cycles as f64;
         assert!(speedup > 1.3, "{name}: speedup {speedup}");
         assert_eq!(hht_run.y.len(), layer.out_channels);
@@ -168,8 +170,8 @@ fn csc_baseline_is_work_efficient_and_correct() {
     for s in [0.5, 0.9] {
         let m = generate::random_csr(64, 64, s, 53);
         let x = generate::random_sparse_vector(64, s, 54);
-        let merge = runner::run_spmspv_baseline(&cfg, &m, &x);
-        let csc = runner::run_spmspv_csc_baseline(&cfg, &m, &x);
+        let merge = runner::run(&cfg, &Job::new(Kernel::SpmspvBaseline, &m, &x)).unwrap();
+        let csc = runner::run(&cfg, &Job::new(Kernel::SpmspvCscBaseline, &m, &x)).unwrap();
         assert!(csc.y.max_abs_diff(&merge.y) < 1e-3);
         // Column scatter does O(touched) work instead of O(rows * x_nnz):
         // it must be much faster than the row merge.
@@ -185,7 +187,7 @@ fn csc_baseline_is_work_efficient_and_correct() {
 #[test]
 fn motivation_shows_metadata_dominates_baseline() {
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::motivation(&cfg, 96);
+    let pts = experiments::motivation(&cfg, 96, 1);
     for p in &pts {
         // Algorithm 1: 2 of 3 per-nnz loads are metadata/indirect, plus the
         // row-pointer array.

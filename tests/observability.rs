@@ -8,7 +8,7 @@ use hht::obs::chrome::chrome_trace_json;
 use hht::obs::{Event, EventKind, StallCause, Track};
 use hht::sparse::generate;
 use hht::system::config::{SystemConfig, TraceConfig};
-use hht::system::{runner, MetricsSnapshot};
+use hht::system::{runner, Job, Kernel, MetricsSnapshot};
 use proptest::prelude::*;
 
 /// Sinks on or off, the simulated machine must be bit-identical: same
@@ -20,9 +20,10 @@ fn sinks_never_change_simulated_timing() {
     let plain_cfg = SystemConfig::paper_default();
     let traced_cfg =
         SystemConfig::paper_default().with_trace(TraceConfig::enabled().with_instr_trace());
-    for run in [runner::run_spmv_baseline, runner::run_spmv_hht] {
-        let plain = run(&plain_cfg, &m, &v);
-        let traced = run(&traced_cfg, &m, &v);
+    for kernel in [Kernel::SpmvBaseline, Kernel::SpmvHht] {
+        let job = Job::new(kernel, &m, &v);
+        let plain = runner::run(&plain_cfg, &job).unwrap();
+        let traced = runner::run(&traced_cfg, &job).unwrap();
         assert_eq!(plain.stats, traced.stats);
         assert_eq!(plain.y, traced.y);
         assert!(plain.events.is_empty());
@@ -41,15 +42,17 @@ fn traced_runs_cover_all_tracks_with_balanced_slices() {
     let m = generate::random_csr(48, 48, 0.6, 41);
     let v = generate::random_dense_vector(48, 42);
     let x = generate::random_sparse_vector(48, 0.6, 43);
-    let spmv = runner::run_spmv_hht(&cfg, &m, &v);
-    let spmspv = runner::run_spmspv_hht_v1(&cfg, &m, &x);
+    let spmv = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+    let spmspv = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV1, &m, &x)).unwrap();
     // A transient engine stall covers the fault track without perturbing
     // the result (the engine resumes and the run completes normally).
     let plan = FaultPlan::new(vec![FaultEvent::new(5, FaultKind::EngineStall { cycles: 16 })]);
-    let faulty = runner::run_spmv_hht_with_plan(&cfg, &m, &v, plan);
+    let faulty = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v).with_plan(plan)).unwrap();
     // The DRAM backend covers the mem-queue track (row transitions and
     // in-flight occupancy).
-    let dram = runner::run_spmv_hht(&cfg.with_dram(DramConfig::slow_300ns()), &m, &v);
+    let dram =
+        runner::run(&cfg.with_dram(DramConfig::slow_300ns()), &Job::new(Kernel::SpmvHht, &m, &v))
+            .unwrap();
     for track in Track::ALL {
         assert!(
             spmv.events
@@ -75,7 +78,7 @@ fn bounded_event_ring_degrades_gracefully() {
     let cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled().with_capacity(32));
     let m = generate::random_csr(32, 32, 0.6, 51);
     let v = generate::random_dense_vector(32, 52);
-    let out = runner::run_spmv_hht(&cfg, &m, &v);
+    let out = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     // Three component buses, each capped at 32 retained events.
     assert!(out.events.len() <= 3 * 32);
     let json = chrome_trace_json(&out.events);
@@ -97,13 +100,13 @@ proptest! {
         let density = density_tenths as f64 / 10.0;
         let m = generate::random_csr(n, n, density, seed);
         let v = generate::random_dense_vector(n, seed ^ 0xABCD);
-        let snap = runner::run_spmv_hht(&cfg, &m, &v).stats.snapshot();
+        let snap = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap().stats.snapshot();
         prop_assert!(snap.validate().is_ok(), "{:?}", snap.validate());
         prop_assert_eq!(snap.stalls.cpu_hht_wait(), snap.core.hht_wait_cycles);
         prop_assert_eq!(snap.stalls.arbitration_loss, snap.core.mem_port_stall_cycles);
 
         let x = generate::random_sparse_vector(n, density, seed ^ 0x5EED);
-        let snap2 = runner::run_spmspv_hht_v1(&cfg, &m, &x).stats.snapshot();
+        let snap2 = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV1, &m, &x)).unwrap().stats.snapshot();
         prop_assert!(snap2.validate().is_ok(), "{:?}", snap2.validate());
     }
 
@@ -116,12 +119,8 @@ proptest! {
     ) {
         let m = generate::random_csr(n, n, 0.5, seed);
         let v = generate::random_dense_vector(n, seed.wrapping_add(1));
-        let plain = runner::run_spmv_hht(&SystemConfig::paper_default(), &m, &v);
-        let traced = runner::run_spmv_hht(
-            &SystemConfig::paper_default().with_trace(TraceConfig::enabled()),
-            &m,
-            &v,
-        );
+        let plain = runner::run(&SystemConfig::paper_default(), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+        let traced = runner::run(&SystemConfig::paper_default().with_trace(TraceConfig::enabled()), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         prop_assert_eq!(plain.stats, traced.stats);
         prop_assert_eq!(&plain.y, &traced.y);
 
@@ -146,7 +145,7 @@ proptest! {
         let density = density_tenths as f64 / 10.0;
         let m = generate::random_csr(n, n, density, seed);
         let v = generate::random_dense_vector(n, seed ^ 0xFAB);
-        let out = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(1usize << tiles_log), &m, &v);
+        let out = runner::run_fabric(&cfg, FabricConfig::scaled(1usize << tiles_log), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         for t in &out.stats.tiles {
             let snap = t.snapshot();
             prop_assert!(snap.validate().is_ok(), "per-tile: {:?}", snap.validate());

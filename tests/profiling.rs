@@ -8,40 +8,31 @@ use hht::fault::FaultConfig;
 use hht::prof::{classify, BenchReport, CpiStack, FabricCpi, HostProfile};
 use hht::sparse::generate;
 use hht::system::config::{Scheduler, SystemConfig, TraceConfig};
-use hht::system::{runner, FabricConfig, RunOutput};
+use hht::system::{runner, FabricConfig, Job, Kernel, RunOutput};
 use proptest::prelude::*;
 
-/// Run one kernel flavour (the determinism-test grid).
+/// The kernel grid of the determinism tests.
+const KERNELS: [Kernel; 6] = [
+    Kernel::SpmvBaseline,
+    Kernel::SpmvHht,
+    Kernel::SpmspvHhtV1,
+    Kernel::SpmspvHhtV2,
+    Kernel::SmashSpmvHht,
+    Kernel::SpmvHhtProgrammable,
+];
+
+/// Run one kernel of [`KERNELS`] on an `n x n` problem.
 fn run_kernel(cfg: &SystemConfig, kernel: usize, n: usize, sparsity: f64, seed: u64) -> RunOutput {
+    let kernel = KERNELS[kernel];
     let m = generate::random_csr(n, n, sparsity, seed);
-    match kernel {
-        0 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_baseline(cfg, &m, &v)
-        }
-        1 => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_hht(cfg, &m, &v)
-        }
-        2 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_hht_v1(cfg, &m, &x)
-        }
-        3 => {
-            let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            runner::run_spmspv_hht_v2(cfg, &m, &x)
-        }
-        4 => {
-            use hht::sparse::{SmashMatrix, SparseFormat};
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            let sm = SmashMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets");
-            runner::run_smash_spmv_hht(cfg, &sm, &v)
-        }
-        _ => {
-            let v = generate::random_dense_vector(n, seed ^ 1);
-            runner::run_spmv_hht_programmable(cfg, &m, &v)
-        }
-    }
+    let v = generate::random_dense_vector(n, seed ^ 1);
+    let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
+    let job = if kernel.takes_sparse_operand() {
+        Job::new(kernel, &m, &x)
+    } else {
+        Job::new(kernel, &m, &v)
+    };
+    runner::run(cfg, &job).unwrap()
 }
 
 /// Build the stack and check the exact-sum invariant.
@@ -116,7 +107,7 @@ proptest! {
         let m = generate::random_csr(n, n, density_tenths as f64 / 10.0, seed);
         let v = generate::random_dense_vector(n, seed ^ 0xFAB);
         let tiles = 1usize << tiles_log;
-        let out = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(tiles), &m, &v);
+        let out = runner::run_fabric(&cfg, FabricConfig::scaled(tiles), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         let cpi = FabricCpi::from_fabric(&out.stats).expect("fabric attribution");
         prop_assert_eq!(cpi.per_tile.len(), tiles);
         for (t, stack) in cpi.per_tile.iter().enumerate() {
@@ -138,19 +129,24 @@ proptest! {
 fn profiling_is_bit_identical_with_tracing_on_and_off() {
     let m = generate::random_csr(48, 48, 0.6, 77);
     let v = generate::random_dense_vector(48, 78);
-    let plain = runner::run_spmv_hht(&SystemConfig::paper_default(), &m, &v);
-    let traced = runner::run_spmv_hht(
+    let plain =
+        runner::run(&SystemConfig::paper_default(), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+    let traced = runner::run(
         &SystemConfig::paper_default().with_trace(TraceConfig::enabled()),
-        &m,
-        &v,
-    );
+        &Job::new(Kernel::SpmvHht, &m, &v),
+    )
+    .unwrap();
     let a = stack_of(&plain, "plain");
     let b = stack_of(&traced, "traced");
     assert_eq!(a, b);
     assert_eq!(plain.sched, traced.sched);
     assert_eq!(classify(&a, &plain.stats), classify(&b, &traced.stats));
     // The slow-memory configuration must expose real memory-wait cycles.
-    let slow = runner::run_spmv_hht(&SystemConfig::paper_default().with_ram_word_cycles(4), &m, &v);
+    let slow = runner::run(
+        &SystemConfig::paper_default().with_ram_word_cycles(4),
+        &Job::new(Kernel::SpmvHht, &m, &v),
+    )
+    .unwrap();
     let s = stack_of(&slow, "slow");
     assert!(s.mem_wait() > 0, "4-cycle words must produce memory-wait attribution");
 }
@@ -167,7 +163,9 @@ fn skip_spans_partition_the_skipped_cycles() {
         let cfg = SystemConfig::paper_default()
             .with_ram_word_cycles(word_cycles)
             .with_trace(TraceConfig::enabled());
-        let out = runner::run_spmv_fabric(&cfg, FabricConfig::scaled(2), &m, &v);
+        let out =
+            runner::run_fabric(&cfg, FabricConfig::scaled(2), &Job::new(Kernel::SpmvHht, &m, &v))
+                .unwrap();
         assert!(out.sched.skipped_cycles > 0, "cycle-skip must fire ({word_cycles}-cycle words)");
         let span_total: u64 = out.skip_spans.iter().map(|s| s.len()).sum();
         assert_eq!(span_total, out.sched.skipped_cycles);
@@ -175,12 +173,12 @@ fn skip_spans_partition_the_skipped_cycles() {
         for w in out.skip_spans.windows(2) {
             assert!(w[0].end <= w[1].start, "spans must be ordered and disjoint");
         }
-        let percycle = runner::run_spmv_fabric(
+        let percycle = runner::run_fabric(
             &cfg.with_scheduler(Scheduler::PerCycle),
             FabricConfig::scaled(2),
-            &m,
-            &v,
-        );
+            &Job::new(Kernel::SpmvHht, &m, &v),
+        )
+        .unwrap();
         assert!(percycle.skip_spans.is_empty());
         assert_eq!(percycle.sched.skipped_cycles, 0);
         // Simulated results are scheduler-independent even though sched
@@ -206,7 +204,8 @@ fn scheduler_accounting_is_pinned() {
     let m = generate::random_csr(64, 64, 0.9, 11);
     let v = generate::random_dense_vector(64, 12);
     let cfg = SystemConfig::paper_default().with_dram(DramConfig::slow_300ns());
-    let dram = runner::run_spmv_fabric(&cfg, FabricConfig::single(), &m, &v);
+    let dram = runner::run_fabric(&cfg, FabricConfig::single(), &Job::new(Kernel::SpmvHht, &m, &v))
+        .unwrap();
     assert_eq!(
         dram.sched,
         SchedStats { stepped_cycles: 3573, skipped_cycles: 248_027, skip_spans: 1712 }
@@ -215,8 +214,12 @@ fn scheduler_accounting_is_pinned() {
 
     let m = generate::random_csr(128, 128, 0.9, 13);
     let v = generate::random_dense_vector(128, 14);
-    let paper =
-        runner::run_spmv_fabric(&SystemConfig::paper_default(), FabricConfig::scaled(16), &m, &v);
+    let paper = runner::run_fabric(
+        &SystemConfig::paper_default(),
+        FabricConfig::scaled(16),
+        &Job::new(Kernel::SpmvHht, &m, &v),
+    )
+    .unwrap();
     assert_eq!(
         paper.sched,
         SchedStats { stepped_cycles: 1070, skipped_cycles: 14, skip_spans: 10 }
@@ -231,7 +234,7 @@ fn ring_overflow_is_counted_and_exported() {
     let m = generate::random_csr(32, 32, 0.6, 51);
     let v = generate::random_dense_vector(32, 52);
     let tiny = SystemConfig::paper_default().with_trace(TraceConfig::enabled().with_capacity(32));
-    let out = runner::run_spmv_hht(&tiny, &m, &v);
+    let out = runner::run(&tiny, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     assert!(out.dropped.total() > 0, "a 32-slot ring must overflow on this run");
     let snap = out.stats.snapshot().with_drops(out.dropped);
     snap.validate().unwrap();
@@ -239,13 +242,14 @@ fn ring_overflow_is_counted_and_exported() {
     assert_eq!(back, snap);
     assert_eq!(back.dropped, out.dropped);
     // A generous ring drops nothing, and an untraced run has no sinks.
-    let roomy = runner::run_spmv_hht(
+    let roomy = runner::run(
         &SystemConfig::paper_default().with_trace(TraceConfig::enabled()),
-        &m,
-        &v,
-    );
+        &Job::new(Kernel::SpmvHht, &m, &v),
+    )
+    .unwrap();
     assert_eq!(roomy.dropped.total(), 0);
-    let untraced = runner::run_spmv_hht(&SystemConfig::paper_default(), &m, &v);
+    let untraced =
+        runner::run(&SystemConfig::paper_default(), &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
     assert_eq!(untraced.dropped.total(), 0);
 }
 

@@ -6,7 +6,7 @@ use hht::sparse::{
     EllMatrix, RleMatrix, SmashMatrix, SparseFormat, SparseVector,
 };
 use hht::system::config::SystemConfig;
-use hht::system::runner;
+use hht::system::{runner, Job, Kernel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -78,8 +78,8 @@ proptest! {
         let m = CsrMatrix::from_triplets(r, c, &ts).unwrap();
         let v = DenseVector::from((0..c).map(|i| 1.0 + (i % 4) as f32).collect::<Vec<_>>());
         // Internal verification panics on divergence.
-        let base = runner::run_spmv_baseline(&cfg, &m, &v);
-        let hht = runner::run_spmv_hht(&cfg, &m, &v);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
+        let hht = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         prop_assert_eq!(base.y, hht.y);
     }
 
@@ -94,9 +94,9 @@ proptest! {
             .map(|i| (i, 1.0 - (i % 3) as f32))
             .collect();
         let x = SparseVector::from_pairs(c, &pairs).unwrap();
-        let base = runner::run_spmspv_baseline(&cfg, &m, &x);
-        let v1 = runner::run_spmspv_hht_v1(&cfg, &m, &x);
-        let v2 = runner::run_spmspv_hht_v2(&cfg, &m, &x);
+        let base = runner::run(&cfg, &Job::new(Kernel::SpmspvBaseline, &m, &x)).unwrap();
+        let v1 = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV1, &m, &x)).unwrap();
+        let v2 = runner::run(&cfg, &Job::new(Kernel::SpmspvHhtV2, &m, &x)).unwrap();
         prop_assert!(v1.y.max_abs_diff(&base.y) < 1e-3);
         prop_assert!(v2.y.max_abs_diff(&base.y) < 1e-3);
     }
@@ -108,7 +108,7 @@ proptest! {
         let cfg = SystemConfig::paper_default();
         let m = CsrMatrix::from_triplets(r, c, &ts).unwrap();
         let v = DenseVector::from((0..c).map(|i| 0.25 + (i % 5) as f32).collect::<Vec<_>>());
-        let untiled = runner::run_spmv_hht(&cfg, &m, &v);
+        let untiled = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
         let tiled = hht::system::tiling::run_spmv_tiled(&cfg, &m, &v, tile);
         prop_assert!(tiled.out.y.max_abs_diff(&untiled.y) < 1e-3);
     }
@@ -130,8 +130,8 @@ proptest! {
         let cfg = SystemConfig::paper_default();
         let m = CsrMatrix::from_triplets(r, c, &ts).unwrap();
         let v = DenseVector::from((0..c).map(|i| 1.0 - (i % 3) as f32 * 0.5).collect::<Vec<_>>());
-        let asic = runner::run_spmv_hht(&cfg, &m, &v);
-        let prog = runner::run_spmv_hht_programmable(&cfg, &m, &v);
+        let asic = runner::run(&cfg, &Job::new(Kernel::SpmvHht, &m, &v)).unwrap();
+        let prog = runner::run(&cfg, &Job::new(Kernel::SpmvHhtProgrammable, &m, &v)).unwrap();
         prop_assert_eq!(asic.y, prog.y);
     }
 
