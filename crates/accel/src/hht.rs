@@ -352,7 +352,7 @@ impl Hht {
         let out_full_before = self.stats.engine.stall_out_full;
         let conflicts_before = self.stats.engine.port_conflicts;
         engine.replay_inert(now, span, out, &mut self.stats.engine);
-        // Each replayed arbitration loss is one failing `try_start` the
+        // Each replayed arbitration loss is one refused `request` the
         // per-cycle loop would have issued — mirror it on the port side,
         // against the address the engine was actually retrying (so a banked
         // memory attributes the losses to the exact bank the per-cycle loop

@@ -1381,8 +1381,8 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
 ///
 /// Every cell asserts the CPI exact-sum invariant (`stack.total() == cycles`
 /// even with row extras and window stalls in the cut), and the all-zero
-/// corner is asserted bit-identical — stats and output vector — to a run on
-/// the seed `SharedMemory` with no DRAM wrapper at all.
+/// corner is asserted bit-identical — stats and output vector — to the
+/// reference run on the configured flat memory.
 fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>) {
     use hht_mem::DramConfig;
     use hht_prof::{classify_with_bus, CpiStack};
@@ -1398,7 +1398,7 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
     // same-cycle CPU/HHT collision is a bank conflict before the grant
     // budget is even consulted, which would hide the bandwidth axis.
     let shape = FabricConfig::scaled(1);
-    // Reference run on the raw SharedMemory path (cfg.dram = None): the
+    // Reference run on the configured memory (flat by default): the
     // bit-identity baseline for the flat corner and the slowdown anchor.
     let reference = runner::run_fabric(cfg, shape, &job).expect("figure job");
     let lats = [("flat", 0u64, 0u64), ("near", 8, 24), ("far-300ns", 110, 330)];
@@ -1437,12 +1437,12 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
         );
         let verdict = classify_with_bus(&stack, tile, Some(&s.mem));
         if *hit == 0 && *miss == 0 && *window == 0 && *budget == 0 {
-            // Flat-Dram corner: the wrapper must be invisible. Bit-identical
-            // output and counters against the unwrapped reference run.
-            assert_eq!(out.y, reference.y, "flat Dram changed the numeric result");
-            assert_eq!(s.cycles, reference.stats.cycles, "flat Dram changed the cycle count");
-            assert_eq!(s.mem, reference.stats.mem, "flat Dram changed shared-memory counters");
-            assert_eq!(s.tiles, reference.stats.tiles, "flat Dram changed per-tile stats");
+            // Flat corner: the grid's cell must reproduce the reference run
+            // bit for bit, output and counters.
+            assert_eq!(out.y, reference.y, "flat corner changed the numeric result");
+            assert_eq!(s.cycles, reference.stats.cycles, "flat corner changed the cycle count");
+            assert_eq!(s.mem, reference.stats.mem, "flat corner changed shared-memory counters");
+            assert_eq!(s.tiles, reference.stats.tiles, "flat corner changed per-tile stats");
         }
         let slowdown = s.cycles as f64 / reference.stats.cycles.max(1) as f64;
         let util = verdict.bus_utilization.map_or_else(|| "-".to_string(), |u| format!("{:.3}", u));

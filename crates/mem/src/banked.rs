@@ -1,23 +1,32 @@
-//! The banked shared memory behind the N-tile fabric.
+//! The one memory behind the N-tile fabric.
 //!
-//! [`SharedMemory`] generalizes the single-ported [`Sram`](crate::Sram):
-//! the flat byte array is shared by every tile, but the timing model has
-//! `banks` independent ports, address-interleaved at a `bank_words` granule
-//! (32 bytes by default — one L1D line, so a line fill streams from one
-//! bank). Each tile accesses memory through a [`TilePort`] view that
-//! implements [`MemoryPort`](crate::MemoryPort); grants, conflicts and
-//! arbitration events are accounted *per tile* (so a tile's `SramStats`
-//! keeps exactly the meaning it had when the tile owned a private SRAM),
-//! plus fabric-wide aggregates in [`SharedMemStats`] including how many
-//! rejections lost to a bank held by a *different* tile.
+//! [`SharedMemory`] generalizes the single-ported [`Sram`]: the flat byte
+//! array is shared by every tile, but the timing model has `banks`
+//! independent ports, address-interleaved at an 8-word granule (32 bytes —
+//! one L1D line, so a line fill streams from one bank). Each
+//! tile accesses memory through a [`FabricPort`] view that implements
+//! [`MemoryPort`]; grants, conflicts and arbitration events are accounted
+//! *per tile* (so a tile's `SramStats` keeps exactly the meaning it had
+//! when the tile owned a private SRAM), plus fabric-wide aggregates in
+//! [`SharedMemStats`] including how many rejections lost to a bank held by
+//! a *different* tile.
 //!
-//! With one bank and one tile the timing model degenerates to `Sram`
+//! The memory also carries a [`DramConfig`] (flat by default). A flat
+//! config grants every request at the flat port cost; any other config
+//! turns on the DRAM-class split-transaction timing described in
+//! [`crate::dram`]: row-buffer response latency, a per-tile in-flight
+//! window and a grants-per-cycle budget. Both live in
+//! [`SharedMemory::request_burst_for`], the one place the timing decision
+//! is made.
+//!
+//! With one bank and one tile the flat timing model degenerates to `Sram`
 //! exactly: same grant cycles, same burst cost, same per-requester stats,
 //! same arbitration events. The fabric's 1-tile differential tests lean on
 //! this equivalence.
 
+use crate::dram::DramConfig;
+use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
 use crate::sram::{Requester, Sram};
-use crate::MemoryPort;
 use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +45,7 @@ pub struct SharedMemStats {
     /// contention that only exists because the memory is shared.
     pub cross_tile_conflicts: u64,
     /// Granted transactions that hit a bank's open row (all tiles). Zero
-    /// unless a DRAM-class backend with row timing wraps this memory.
+    /// under flat timing, which models no row buffer.
     pub row_hits: u64,
     /// Granted transactions that opened a new row.
     pub row_misses: u64,
@@ -98,25 +107,33 @@ struct Bank {
 }
 
 /// Byte-addressable memory shared by N tiles over `banks` interleaved
-/// ports. Functional access is untimed (exactly like [`Sram`]); timed
-/// access goes through a per-tile [`TilePort`].
+/// ports, with flat or DRAM-class timing. Functional access is untimed
+/// (exactly like [`Sram`]); timed access goes through a per-tile
+/// [`FabricPort`].
 #[derive(Debug)]
 pub struct SharedMemory {
     data: Vec<u8>,
     word_cycles: u64,
-    bank_words: u32,
     banks: Vec<Bank>,
     tile_stats: Vec<SramStats>,
     obs: Vec<Option<Box<EventBus>>>,
     stats: SharedMemStats,
+    dram: DramConfig,
+    /// Open row id per bank (`None` = all rows precharged).
+    open_rows: Vec<Option<u32>>,
+    /// Response-arrival cycles of each tile's outstanding transactions.
+    inflight: Vec<Vec<u64>>,
+    /// Cycle `budget_used` counts grants for.
+    budget_cycle: u64,
+    budget_used: u32,
 }
 
-/// Default interleave granule: 8 words = 32 bytes, one L1D line.
-pub const DEFAULT_BANK_WORDS: u32 = 8;
+/// Interleave granule: 8 words = 32 bytes, one L1D line.
+const BANK_WORDS: u32 = 8;
 
 impl SharedMemory {
-    /// Create a shared memory of `size` bytes with `word_cycles` per word,
-    /// `banks` interleaved ports and `tiles` accounting domains.
+    /// Create a flat shared memory of `size` bytes with `word_cycles` per
+    /// word, `banks` interleaved ports and `tiles` accounting domains.
     pub fn new(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         Self::from_parts(vec![0; size as usize], word_cycles, banks, tiles)
     }
@@ -135,19 +152,24 @@ impl SharedMemory {
         SharedMemory {
             data,
             word_cycles,
-            bank_words: DEFAULT_BANK_WORDS,
             banks: vec![Bank { free_at: 0, holder: 0 }; banks],
             tile_stats: vec![SramStats::default(); tiles],
             obs: (0..tiles).map(|_| None).collect(),
             stats: SharedMemStats { banks: banks as u64, ..SharedMemStats::default() },
+            dram: DramConfig::flat(),
+            open_rows: vec![None; banks],
+            inflight: vec![Vec::new(); tiles],
+            budget_cycle: 0,
+            budget_used: 0,
         }
     }
 
-    /// Override the interleave granule (in words). Rarely needed; the
-    /// default is one L1D line so line fills stay within a bank.
-    pub fn with_bank_words(mut self, bank_words: u32) -> Self {
-        assert!(bank_words >= 1, "granule of at least one word");
-        self.bank_words = bank_words;
+    /// The same memory under DRAM-class timing `cfg` (see
+    /// [`crate::dram`]). [`DramConfig::flat`] keeps the flat model.
+    pub fn with_dram(mut self, cfg: DramConfig) -> Self {
+        assert!(cfg.row_words >= 1, "a row holds at least one word");
+        self.stats.grant_budget = cfg.max_grants_per_cycle as u64;
+        self.dram = cfg;
         self
     }
 
@@ -189,6 +211,14 @@ impl SharedMemory {
         self.word_cycles
     }
 
+    /// True when a grant or a refusal can hold a requester for more than
+    /// one cycle: DRAM-class timing (row latency, window, budget) or
+    /// multi-cycle words. On flat 1-cycle memory every response lands on
+    /// the next cycle and every busy bank frees by then.
+    pub fn multi_cycle(&self) -> bool {
+        self.word_cycles > 1 || !self.dram.is_flat()
+    }
+
     /// One tile's port statistics (same meaning as [`Sram::stats`] had for
     /// the tile's private SRAM).
     pub fn stats_for(&self, tile: usize) -> SramStats {
@@ -200,26 +230,158 @@ impl SharedMemory {
         self.stats
     }
 
-    pub(crate) fn bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) / self.bank_words) as usize % self.banks.len()
+    /// Transactions of `tile` whose responses are still outstanding at
+    /// `now` (the window occupancy the MLP cap is tested against).
+    pub fn in_flight(&self, tile: usize, now: u64) -> usize {
+        self.inflight[tile].iter().filter(|&&d| d > now).count()
     }
 
-    /// Cycle the bank frees (≤ `now` means idle). Hook for the DRAM wrapper,
-    /// which needs to test occupancy separately from granting.
-    pub(crate) fn bank_free_at(&self, bank: usize) -> u64 {
-        self.banks[bank].free_at
+    /// Issue a split-transaction burst request of `words` words by `tile`
+    /// (`words` = 1 for a plain word access). A burst is charged wholly to
+    /// the bank of its first word, and is one transaction against the
+    /// window and the budget regardless of `words`.
+    ///
+    /// Flat timing: granted when the bank is free, the response lands at
+    /// the flat port cost. DRAM-class timing tests, in order, the tile's
+    /// in-flight window (a tile at its ceiling may not even arbitrate for
+    /// a bank), the bank, and the cycle's grant budget; a grant then pays
+    /// the row hit or miss extra as response latency on top of the flat
+    /// port cost, while the bank frees at the flat cost.
+    pub fn request_burst_for(
+        &mut self,
+        tile: usize,
+        now: u64,
+        addr: u32,
+        who: Requester,
+        words: u64,
+    ) -> MemIssue {
+        let bank = self.bank_of(addr);
+        if self.dram.is_flat() {
+            if self.banks[bank].free_at > now {
+                self.reject(tile, now, bank, who);
+                return MemIssue::Refused(MemRefusal::BankBusy);
+            }
+            let data_at = self.grant(tile, now, bank, who, words);
+            return MemIssue::Granted { data_at, row: RowOutcome::Flat };
+        }
+        // Retire delivered responses, then test the MLP window first.
+        self.inflight[tile].retain(|&d| d > now);
+        if self.window_full(tile, now) {
+            self.note_window_stall(tile, now, 1, who);
+            return MemIssue::Refused(MemRefusal::WindowFull);
+        }
+        if self.banks[bank].free_at > now {
+            self.reject(tile, now, bank, who);
+            return MemIssue::Refused(MemRefusal::BankBusy);
+        }
+        if self.budget_cycle != now {
+            self.budget_cycle = now;
+            self.budget_used = 0;
+        }
+        let budget = self.dram.max_grants_per_cycle;
+        if budget > 0 && self.budget_used >= budget {
+            self.note_bandwidth_stall(tile, now, who);
+            return MemIssue::Refused(MemRefusal::BandwidthExhausted);
+        }
+        self.budget_used += 1;
+        let done = self.grant(tile, now, bank, who, words);
+        let row = (addr >> 2) / self.dram.row_words;
+        let hit = self.open_rows[bank] == Some(row);
+        let extra = if hit { self.dram.row_hit_extra } else { self.dram.row_miss_extra };
+        if !hit {
+            self.open_rows[bank] = Some(row);
+            self.emit(tile, now, Track::MemQueue, EventKind::RowOpen { bank: bank as u32 });
+        }
+        self.note_row(tile, who, hit, extra);
+        let data_at = done + extra;
+        self.inflight[tile].push(data_at);
+        let level = self.inflight[tile].len() as u32;
+        self.emit(tile, now, Track::MemQueue, EventKind::BufferLevel { level });
+        MemIssue::Granted { data_at, row: if hit { RowOutcome::Hit } else { RowOutcome::Miss } }
     }
 
-    /// Record the memory shape's grants-per-cycle budget (a datum the
-    /// DRAM wrapper sets once at construction; see
-    /// [`SharedMemStats::grant_budget`]).
-    pub(crate) fn set_grant_budget(&mut self, budget: u64) {
-        self.stats.grant_budget = budget;
+    /// Park bound for a request by `tile` to `addr` refused at `now`: the
+    /// cycle a retry could first succeed for a *different* reason, `None`
+    /// when a retry next cycle may already succeed.
+    ///
+    /// - *Window full*: the oldest outstanding response's arrival. The
+    ///   tile issues nothing while parked, so its window only drains, and
+    ///   it stays full exactly until that response retires.
+    /// - *Bank busy*: the bank's free cycle. A busy bank's `free_at`
+    ///   cannot move (granting requires a free bank).
+    /// - *Budget spent*: only possible with the bank free and the window
+    ///   open, so the bound is `None` — the fabric maps that to an
+    ///   immediate retry, and no park ever spans a bandwidth refusal.
+    pub fn next_event_for(&self, tile: usize, addr: u32, now: u64) -> Option<u64> {
+        if !self.dram.is_flat() && self.window_full(tile, now) {
+            return self.oldest_inflight(tile, now);
+        }
+        let t = self.banks[self.bank_of(addr)].free_at;
+        (t > now).then_some(t)
     }
 
-    /// Emit one event on `tile`'s bus (no-op without a sink). Hook for the
-    /// DRAM wrapper's row-transition and queue-occupancy events.
-    pub(crate) fn emit_for(&mut self, tile: usize, now: u64, track: Track, kind: EventKind) {
+    /// Replay `span` skipped refusal cycles by `tile`/`who` against `addr`
+    /// — the bulk-replay hook of the event-queue scheduler, recording
+    /// exactly what `span` failing per-cycle retries would have, events
+    /// included. The refusal kind is re-derived at replay time: if the
+    /// tile's window is full at `now` it stays full through the span (the
+    /// park bound is the oldest response's arrival and the parked tile
+    /// issues nothing), so the whole span is window stalls; otherwise the
+    /// span lost to the bank serving `addr`, which provably stays busy
+    /// through it, so its holder — and hence the cross-tile attribution —
+    /// is constant.
+    pub fn skip_conflicts_for(
+        &mut self,
+        tile: usize,
+        now: u64,
+        span: u64,
+        addr: u32,
+        who: Requester,
+    ) {
+        if !self.dram.is_flat() && self.window_full(tile, now) {
+            debug_assert!(
+                self.oldest_inflight(tile, now).is_none_or(|d| d >= now + span),
+                "window-stall replay span outlives the oldest in-flight response"
+            );
+            return self.note_window_stall(tile, now, span, who);
+        }
+        let bank = self.bank_of(addr);
+        self.tile_stats[tile].conflicts += span;
+        self.stats.conflicts += span;
+        let cross = self.banks[bank].holder != tile;
+        if cross {
+            self.stats.cross_tile_conflicts += span;
+        }
+        if who == Requester::Cpu {
+            self.tile_stats[tile].cpu_conflicts += span;
+            if cross {
+                self.tile_stats[tile].cpu_cross_tile_conflicts += span;
+            }
+        }
+        if let Some(bus) = self.obs[tile].as_mut() {
+            for c in 0..span {
+                bus.emit(now + c, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
+            }
+        }
+    }
+
+    fn bank_of(&self, addr: u32) -> usize {
+        ((addr >> 2) / BANK_WORDS) as usize % self.banks.len()
+    }
+
+    fn window_full(&self, tile: usize, now: u64) -> bool {
+        let cap = self.dram.max_inflight_per_tile;
+        cap > 0 && self.in_flight(tile, now) >= cap as usize
+    }
+
+    /// Earliest outstanding response of `tile` after `now` — the cycle a
+    /// full window opens a slot.
+    fn oldest_inflight(&self, tile: usize, now: u64) -> Option<u64> {
+        self.inflight[tile].iter().copied().filter(|&d| d > now).min()
+    }
+
+    /// Emit one event on `tile`'s bus (no-op without a sink).
+    fn emit(&mut self, tile: usize, now: u64, track: Track, kind: EventKind) {
         if let Some(bus) = self.obs[tile].as_mut() {
             bus.emit(now, track, kind);
         }
@@ -229,7 +391,7 @@ impl SharedMemory {
     /// `now`: the tile's bounded in-flight window — not a bank — refused
     /// the request, so no cross-tile attribution applies. Emits the same
     /// per-cycle conflict events a failing retry loop would.
-    pub(crate) fn note_window_stall(&mut self, tile: usize, now: u64, span: u64, who: Requester) {
+    fn note_window_stall(&mut self, tile: usize, now: u64, span: u64, who: Requester) {
         self.tile_stats[tile].conflicts += span;
         self.stats.conflicts += span;
         self.stats.window_stalls += span;
@@ -251,21 +413,19 @@ impl SharedMemory {
     /// was free but the cycle-wide grant budget was spent. Not cross-tile
     /// in the bank-holder sense (no bank is held), though the budget was of
     /// course consumed fabric-wide.
-    pub(crate) fn note_bandwidth_stall(&mut self, tile: usize, now: u64, who: Requester) {
+    fn note_bandwidth_stall(&mut self, tile: usize, now: u64, who: Requester) {
         self.tile_stats[tile].conflicts += 1;
         self.stats.conflicts += 1;
         self.stats.bandwidth_stalls += 1;
         if who == Requester::Cpu {
             self.tile_stats[tile].cpu_conflicts += 1;
         }
-        if let Some(bus) = self.obs[tile].as_mut() {
-            bus.emit(now, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
-        }
+        self.emit(tile, now, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
     }
 
     /// Record a granted transaction's row-buffer outcome and the extra
     /// response-latency cycles it was charged.
-    pub(crate) fn note_row(&mut self, tile: usize, who: Requester, hit: bool, extra: u64) {
+    fn note_row(&mut self, tile: usize, who: Requester, hit: bool, extra: u64) {
         if hit {
             self.stats.row_hits += 1;
         } else {
@@ -280,7 +440,8 @@ impl SharedMemory {
         }
     }
 
-    pub(crate) fn reject(&mut self, tile: usize, now: u64, bank: usize, who: Requester) {
+    /// Charge one lost bank arbitration to `tile`/`who`.
+    fn reject(&mut self, tile: usize, now: u64, bank: usize, who: Requester) {
         self.tile_stats[tile].conflicts += 1;
         self.stats.conflicts += 1;
         let cross = self.banks[bank].holder != tile;
@@ -293,19 +454,12 @@ impl SharedMemory {
                 self.tile_stats[tile].cpu_cross_tile_conflicts += 1;
             }
         }
-        if let Some(bus) = self.obs[tile].as_mut() {
-            bus.emit(now, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
-        }
+        self.emit(tile, now, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
     }
 
-    pub(crate) fn grant(
-        &mut self,
-        tile: usize,
-        now: u64,
-        bank: usize,
-        who: Requester,
-        words: u64,
-    ) -> u64 {
+    /// Grant `bank` to `tile`/`who` for `words` words; returns the cycle
+    /// the bank frees (the flat response cycle).
+    fn grant(&mut self, tile: usize, now: u64, bank: usize, who: Requester, words: u64) -> u64 {
         let cost = self.word_cycles + words.max(1) - 1;
         self.banks[bank] = Bank { free_at: now + cost, holder: tile };
         match who {
@@ -313,82 +467,8 @@ impl SharedMemory {
             Requester::Hht => self.tile_stats[tile].hht_accesses += words,
         }
         self.stats.accesses += words;
-        if let Some(bus) = self.obs[tile].as_mut() {
-            bus.emit(now, Track::SramPort, EventKind::ArbGrant { requester: who.label() });
-        }
+        self.emit(tile, now, Track::SramPort, EventKind::ArbGrant { requester: who.label() });
         now + cost
-    }
-
-    /// Timed word access by `tile` (see [`MemoryPort::try_start`]). A burst
-    /// is charged wholly to the bank of its first word.
-    pub fn try_start_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-    ) -> Option<u64> {
-        self.try_start_burst_for(tile, now, addr, who, 1)
-    }
-
-    /// Timed burst access by `tile` (see [`MemoryPort::try_start_burst`]).
-    pub fn try_start_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> Option<u64> {
-        let bank = self.bank_of(addr);
-        if self.banks[bank].free_at > now {
-            self.reject(tile, now, bank, who);
-            return None;
-        }
-        Some(self.grant(tile, now, bank, who, words))
-    }
-
-    /// Earliest cycle at which any busy bank frees, `None` when all idle.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.banks.iter().map(|b| b.free_at).filter(|&t| t > now).min()
-    }
-
-    /// When the bank serving `addr` frees, `None` when it is already free.
-    pub fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
-        let t = self.banks[self.bank_of(addr)].free_at;
-        (t > now).then_some(t)
-    }
-
-    /// Replay `span` skipped arbitration losses by `tile`/`who` against the
-    /// bank serving `addr` (which the cycle-skipping scheduler has proved
-    /// stays busy through the span, so the holder — and hence the
-    /// cross-tile attribution — is constant).
-    pub fn skip_conflicts_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        span: u64,
-        addr: u32,
-        who: Requester,
-    ) {
-        let bank = self.bank_of(addr);
-        self.tile_stats[tile].conflicts += span;
-        self.stats.conflicts += span;
-        let cross = self.banks[bank].holder != tile;
-        if cross {
-            self.stats.cross_tile_conflicts += span;
-        }
-        if who == Requester::Cpu {
-            self.tile_stats[tile].cpu_conflicts += span;
-            if cross {
-                self.tile_stats[tile].cpu_cross_tile_conflicts += span;
-            }
-        }
-        if let Some(bus) = self.obs[tile].as_mut() {
-            for c in 0..span {
-                bus.emit(now + c, Track::SramPort, EventKind::ArbConflict { loser: who.label() });
-            }
-        }
     }
 
     // ---- functional storage (mirrors `Sram`) ----
@@ -463,35 +543,50 @@ impl SharedMemory {
     }
 }
 
-/// One tile's view of the [`SharedMemory`]: the object the tile's core and
-/// HHT hold as their `&mut dyn MemoryPort` for the current cycle.
-pub struct TilePort<'a> {
+/// One tile's view of the [`SharedMemory`]: the `&mut dyn MemoryPort` the
+/// tile's core and HHT hold for the current cycle.
+///
+/// The port also remembers how its traffic went — the latest response
+/// cycle it granted ([`FabricPort::lands_at`]) and whether it refused a
+/// request ([`FabricPort::refused`]) — so a scheduler can tell after a
+/// step whether the tile may have become parkable on memory.
+pub struct FabricPort<'a> {
     mem: &'a mut SharedMemory,
     tile: usize,
+    lands_at: u64,
+    refused: bool,
 }
 
-impl<'a> TilePort<'a> {
+impl<'a> FabricPort<'a> {
     /// Borrow `mem` as tile `tile`'s port.
     pub fn new(mem: &'a mut SharedMemory, tile: usize) -> Self {
-        TilePort { mem, tile }
+        FabricPort { mem, tile, lands_at: 0, refused: false }
+    }
+
+    /// Latest response cycle of the requests this port granted (0 when it
+    /// granted none).
+    pub fn lands_at(&self) -> u64 {
+        self.lands_at
+    }
+
+    /// True when this port refused at least one request.
+    pub fn refused(&self) -> bool {
+        self.refused
     }
 }
 
-impl MemoryPort for TilePort<'_> {
-    fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-        self.mem.try_start_for(self.tile, now, addr, who)
+impl MemoryPort for FabricPort<'_> {
+    fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
+        self.request_burst(now, addr, who, 1)
     }
 
-    fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64> {
-        self.mem.try_start_burst_for(self.tile, now, addr, who, words)
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.mem.next_event(now)
-    }
-
-    fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
-        self.mem.next_event_at(addr, now)
+    fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
+        let issue = self.mem.request_burst_for(self.tile, now, addr, who, words);
+        match issue {
+            MemIssue::Granted { data_at, .. } => self.lands_at = self.lands_at.max(data_at),
+            MemIssue::Refused(_) => self.refused = true,
+        }
+        issue
     }
 
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
@@ -539,6 +634,17 @@ impl MemoryPort for TilePort<'_> {
 mod tests {
     use super::*;
 
+    /// A word request's response cycle, `None` when refused.
+    fn start(
+        m: &mut SharedMemory,
+        tile: usize,
+        now: u64,
+        addr: u32,
+        who: Requester,
+    ) -> Option<u64> {
+        m.request_burst_for(tile, now, addr, who, 1).data_at()
+    }
+
     /// One bank, one tile: grant cycles, burst cost and stats match the
     /// single-ported `Sram` call for call.
     #[test]
@@ -555,9 +661,12 @@ mod tests {
         ];
         for &(now, addr, who, words) in script {
             let a = sram.try_start_burst(now, who, words);
-            let b = shared.try_start_burst_for(0, now, addr, who, words);
-            assert_eq!(a, b, "diverged at cycle {now}");
-            assert_eq!(sram.next_event(now), shared.next_event(now));
+            let want = a.map_or(MemIssue::Refused(MemRefusal::BankBusy), |data_at| {
+                MemIssue::Granted { data_at, row: RowOutcome::Flat }
+            });
+            let got = shared.request_burst_for(0, now, addr, who, words);
+            assert_eq!(got, want, "diverged at cycle {now}");
+            assert_eq!(sram.next_event(now), shared.next_event_for(0, addr, now));
         }
         assert_eq!(sram.stats(), shared.stats_for(0));
         assert_eq!(shared.shared_stats().cross_tile_conflicts, 0);
@@ -567,12 +676,15 @@ mod tests {
     fn different_banks_proceed_in_parallel() {
         // Granule 8 words = 32 bytes: 0x00 -> bank 0, 0x20 -> bank 1.
         let mut m = SharedMemory::new(256, 4, 2, 2);
-        assert_eq!(m.try_start_for(0, 0, 0x00, Requester::Cpu), Some(4));
-        assert_eq!(m.try_start_for(1, 0, 0x20, Requester::Cpu), Some(4));
+        assert_eq!(start(&mut m, 0, 0, 0x00, Requester::Cpu), Some(4));
+        assert_eq!(start(&mut m, 1, 0, 0x20, Requester::Cpu), Some(4));
         // Same bank, other tile: cross-tile conflict.
-        assert_eq!(m.try_start_for(1, 1, 0x00, Requester::Hht), None);
+        assert_eq!(
+            m.request_burst_for(1, 1, 0x00, Requester::Hht, 1),
+            MemIssue::Refused(MemRefusal::BankBusy)
+        );
         // Same bank, same tile (its own in-flight txn): not cross-tile.
-        assert_eq!(m.try_start_for(0, 1, 0x04, Requester::Hht), None);
+        assert_eq!(start(&mut m, 0, 1, 0x04, Requester::Hht), None);
         let s = m.shared_stats();
         assert_eq!(s.accesses, 2);
         assert_eq!(s.conflicts, 2);
@@ -580,9 +692,9 @@ mod tests {
         assert_eq!(m.stats_for(0).conflicts, 1);
         assert_eq!(m.stats_for(1).conflicts, 1);
         // Bank-targeted hints.
-        assert_eq!(m.next_event_at(0x00, 1), Some(4));
-        assert_eq!(m.next_event_at(0x40, 1), Some(4)); // bank 0 again (wraps)
-        assert_eq!(m.next_event(4), None);
+        assert_eq!(m.next_event_for(0, 0x00, 1), Some(4));
+        assert_eq!(m.next_event_for(1, 0x40, 1), Some(4)); // bank 0 again (wraps)
+        assert_eq!(m.next_event_for(0, 0x20, 4), None);
     }
 
     #[test]
@@ -594,19 +706,20 @@ mod tests {
         assert_eq!(m.word_cycles(), 1);
         assert_eq!(m.banks(), 2);
         assert_eq!(m.tiles(), 2);
+        assert!(!m.multi_cycle());
     }
 
     #[test]
     fn skip_replay_matches_per_cycle_conflicts() {
         // Per-cycle: tile 1 retries a bank held by tile 0 for 3 cycles.
         let mut a = SharedMemory::new(64, 8, 1, 2);
-        a.try_start_for(0, 0, 0x0, Requester::Hht);
+        start(&mut a, 0, 0, 0x0, Requester::Hht);
         for c in 1..4 {
-            assert_eq!(a.try_start_for(1, c, 0x4, Requester::Cpu), None);
+            assert_eq!(start(&mut a, 1, c, 0x4, Requester::Cpu), None);
         }
         // Bulk replay of the same span.
         let mut b = SharedMemory::new(64, 8, 1, 2);
-        b.try_start_for(0, 0, 0x0, Requester::Hht);
+        start(&mut b, 0, 0, 0x0, Requester::Hht);
         b.skip_conflicts_for(1, 1, 3, 0x4, Requester::Cpu);
         assert_eq!(a.stats_for(1), b.stats_for(1));
         assert_eq!(a.shared_stats(), b.shared_stats());
@@ -615,8 +728,8 @@ mod tests {
     #[test]
     fn conflict_frac_counts_rejections() {
         let mut m = SharedMemory::new(64, 2, 1, 1);
-        m.try_start_for(0, 0, 0, Requester::Cpu);
-        m.try_start_for(0, 1, 0, Requester::Cpu);
+        start(&mut m, 0, 0, 0, Requester::Cpu);
+        start(&mut m, 0, 1, 0, Requester::Cpu);
         assert_eq!(m.shared_stats().conflict_frac(), 0.5);
     }
 }

@@ -1,8 +1,8 @@
-//! DRAM-class timing backend: the split-transaction memory model behind
-//! the latency/bandwidth/MLP wall.
+//! DRAM-class timing: the split-transaction memory model behind the
+//! latency/bandwidth/MLP wall.
 //!
-//! [`Dram`] wraps the banked [`SharedMemory`] and adds the three effects a
-//! flat SRAM-class model cannot show:
+//! A [`DramConfig`] on the [`SharedMemory`](crate::SharedMemory) adds the three effects a flat
+//! SRAM-class model cannot show:
 //!
 //! - **Row-buffer timing** — each bank tracks its open row; an access to
 //!   the open row pays `row_hit_extra` response cycles on top of the flat
@@ -13,38 +13,23 @@
 //! - **Bounded in-flight window** — each tile may have at most
 //!   `max_inflight_per_tile` transactions whose responses are still
 //!   outstanding (Little's-law MLP ceiling). A full window refuses the
-//!   request with [`MemRefusal::WindowFull`] until the oldest response
-//!   retires.
+//!   request with [`MemRefusal::WindowFull`](crate::MemRefusal) until the
+//!   oldest response retires.
 //! - **Bandwidth budget** — at most `max_grants_per_cycle` grants per
 //!   cycle across all banks; once spent, otherwise-grantable requests are
-//!   refused with [`MemRefusal::BandwidthExhausted`].
+//!   refused with [`MemRefusal::BandwidthExhausted`](crate::MemRefusal).
 //!
-//! The flat configuration ([`DramConfig::flat`]: zero extras, unlimited
-//! window and budget) short-circuits every check and delegates directly to
-//! the inner [`SharedMemory`], so it is **bit-identical by construction**
-//! — same grants, same stats, same events. The determinism suite pins this
-//! across kernels × tiles × schedulers.
-//!
-//! Scheduler soundness of the park bounds ([`Dram::next_event_for`]):
-//!
-//! - *Window full*: the tile issues nothing while parked, so its window
-//!   only drains; it stays full exactly until the oldest outstanding
-//!   response retires, which is the bound returned.
-//! - *Bank busy*: a busy bank's `free_at` cannot move (granting requires a
-//!   free bank), the existing [`SharedMemory`] argument.
-//! - *Budget spent*: only possible when the bank is free and the window
-//!   open, in which case the hint is `None` — the fabric maps that to an
-//!   immediate retry, so no park ever spans a bandwidth refusal.
+//! The flat configuration ([`DramConfig::flat`], the default: zero extras,
+//! unlimited window and budget) takes the memory's flat path, which skips
+//! every check. The timing decision and the scheduler's park bounds live
+//! in [`SharedMemory::request_burst_for`](crate::SharedMemory::request_burst_for)
+//! and [`SharedMemory::next_event_for`](crate::SharedMemory::next_event_for).
 
-use crate::banked::{SharedMemStats, SharedMemory};
-use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
-use crate::sram::{Requester, SramStats};
-use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
 
-/// Timing parameters of the DRAM-class backend. All-zero (the
-/// [`DramConfig::flat`] preset) degenerates to the wrapped
-/// [`SharedMemory`] exactly.
+/// Timing parameters of the [`SharedMemory`](crate::SharedMemory)'s
+/// DRAM-class model. The
+/// [`DramConfig::flat`] preset (the default) is the flat banked model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
     /// Extra response cycles for an access that hits the bank's open row.
@@ -68,8 +53,7 @@ impl Default for DramConfig {
 }
 
 impl DramConfig {
-    /// Zero latency, unlimited window and bandwidth: bit-identical to the
-    /// wrapped [`SharedMemory`].
+    /// Zero latency, unlimited window and bandwidth: the flat banked model.
     pub fn flat() -> Self {
         DramConfig {
             row_hit_extra: 0,
@@ -120,8 +104,7 @@ impl DramConfig {
         self
     }
 
-    /// True when every effect is disabled and the backend degenerates to
-    /// the wrapped memory.
+    /// True when every effect is disabled: the memory takes its flat path.
     pub fn is_flat(&self) -> bool {
         self.row_hit_extra == 0
             && self.row_miss_extra == 0
@@ -130,505 +113,30 @@ impl DramConfig {
     }
 }
 
-/// The DRAM-class backend: a [`SharedMemory`] plus open-row tracking,
-/// per-tile in-flight windows and a cycle-wide grant budget.
-#[derive(Debug)]
-pub struct Dram {
-    mem: SharedMemory,
-    cfg: DramConfig,
-    /// Open row id per bank (`None` = all rows precharged).
-    open_rows: Vec<Option<u32>>,
-    /// Response-arrival cycles of each tile's outstanding transactions.
-    inflight: Vec<Vec<u64>>,
-    /// Cycle `budget_used` counts grants for.
-    budget_cycle: u64,
-    budget_used: u32,
-}
-
-impl Dram {
-    /// Wrap `mem` with DRAM-class timing.
-    pub fn new(mem: SharedMemory, cfg: DramConfig) -> Self {
-        assert!(cfg.row_words >= 1, "a row holds at least one word");
-        let mut mem = mem;
-        mem.set_grant_budget(cfg.max_grants_per_cycle as u64);
-        let banks = mem.banks();
-        let tiles = mem.tiles();
-        Dram {
-            mem,
-            cfg,
-            open_rows: vec![None; banks],
-            inflight: vec![Vec::new(); tiles],
-            budget_cycle: 0,
-            budget_used: 0,
-        }
-    }
-
-    /// The timing parameters in force.
-    pub fn config(&self) -> DramConfig {
-        self.cfg
-    }
-
-    /// The wrapped functional memory + flat port model.
-    pub fn inner(&self) -> &SharedMemory {
-        &self.mem
-    }
-
-    /// Mutable access to the wrapped memory (functional writes, event-bus
-    /// installation, fault injection).
-    pub fn inner_mut(&mut self) -> &mut SharedMemory {
-        &mut self.mem
-    }
-
-    /// Transactions of `tile` whose responses are still outstanding at
-    /// `now` (the window occupancy the MLP cap is tested against).
-    pub fn in_flight(&self, tile: usize, now: u64) -> usize {
-        self.inflight[tile].iter().filter(|&&d| d > now).count()
-    }
-
-    fn window_full(&self, tile: usize, now: u64) -> bool {
-        let cap = self.cfg.max_inflight_per_tile;
-        cap > 0 && self.in_flight(tile, now) >= cap as usize
-    }
-
-    /// Earliest outstanding response of `tile` after `now` — the cycle a
-    /// full window opens a slot.
-    fn oldest_inflight(&self, tile: usize, now: u64) -> Option<u64> {
-        self.inflight[tile].iter().copied().filter(|&d| d > now).min()
-    }
-
-    /// Issue a split-transaction burst request by `tile`. One transaction
-    /// against the window and the budget regardless of `words`.
-    pub fn request_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> MemIssue {
-        if self.cfg.is_flat() {
-            return match self.mem.try_start_burst_for(tile, now, addr, who, words) {
-                Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-                None => MemIssue::Refused(MemRefusal::BankBusy),
-            };
-        }
-        // Retire delivered responses, then test the MLP window first: a
-        // tile at its ceiling may not even arbitrate for a bank.
-        self.inflight[tile].retain(|&d| d > now);
-        if self.window_full(tile, now) {
-            self.mem.note_window_stall(tile, now, 1, who);
-            return MemIssue::Refused(MemRefusal::WindowFull);
-        }
-        let bank = self.mem.bank_of(addr);
-        if self.mem.bank_free_at(bank) > now {
-            self.mem.reject(tile, now, bank, who);
-            return MemIssue::Refused(MemRefusal::BankBusy);
-        }
-        if self.budget_cycle != now {
-            self.budget_cycle = now;
-            self.budget_used = 0;
-        }
-        let budget = self.cfg.max_grants_per_cycle;
-        if budget > 0 && self.budget_used >= budget {
-            self.mem.note_bandwidth_stall(tile, now, who);
-            return MemIssue::Refused(MemRefusal::BandwidthExhausted);
-        }
-        self.budget_used += 1;
-        let done = self.mem.grant(tile, now, bank, who, words);
-        let row = (addr >> 2) / self.cfg.row_words;
-        let hit = self.open_rows[bank] == Some(row);
-        let extra = if hit { self.cfg.row_hit_extra } else { self.cfg.row_miss_extra };
-        if !hit {
-            self.open_rows[bank] = Some(row);
-            self.mem.emit_for(tile, now, Track::MemQueue, EventKind::RowOpen { bank: bank as u32 });
-        }
-        self.mem.note_row(tile, who, hit, extra);
-        let data_at = done + extra;
-        self.inflight[tile].push(data_at);
-        let level = self.inflight[tile].len() as u32;
-        self.mem.emit_for(tile, now, Track::MemQueue, EventKind::BufferLevel { level });
-        MemIssue::Granted { data_at, row: if hit { RowOutcome::Hit } else { RowOutcome::Miss } }
-    }
-
-    /// Issue a split-transaction word request by `tile`.
-    pub fn request_for(&mut self, tile: usize, now: u64, addr: u32, who: Requester) -> MemIssue {
-        self.request_burst_for(tile, now, addr, who, 1)
-    }
-
-    /// Legacy same-cycle protocol shape (see [`MemoryPort::try_start`]).
-    pub fn try_start_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-    ) -> Option<u64> {
-        self.request_for(tile, now, addr, who).data_at()
-    }
-
-    /// Legacy burst shape (see [`MemoryPort::try_start_burst`]).
-    pub fn try_start_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> Option<u64> {
-        self.request_burst_for(tile, now, addr, who, words).data_at()
-    }
-
-    /// Earliest cycle the memory next changes state: any busy bank freeing
-    /// or any outstanding response arriving.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        let responses = self.inflight.iter().flatten().copied().filter(|&d| d > now).min();
-        match (self.mem.next_event(now), responses) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Tile-aware park bound for a request to `addr` refused at `now`:
-    /// the cycle a retry could first succeed for a *different* reason.
-    /// Window full → the oldest outstanding response's arrival (the
-    /// window drains monotonically while the tile is parked); otherwise
-    /// the bank's free cycle; `None` when the refusal was bandwidth-only
-    /// (retry next cycle — never park over a budget refusal).
-    pub fn next_event_for(&self, tile: usize, addr: u32, now: u64) -> Option<u64> {
-        if self.cfg.is_flat() {
-            return self.mem.next_event_at(addr, now);
-        }
-        if self.window_full(tile, now) {
-            return self.oldest_inflight(tile, now);
-        }
-        self.mem.next_event_at(addr, now)
-    }
-
-    /// Replay `span` skipped refusal cycles by `tile`/`who` against `addr`
-    /// — the bulk-replay hook of the cycle-skipping schedulers. The
-    /// refusal kind is re-derived at replay time: if the tile's window is
-    /// full at `now` it stays full through the span (the park bound is the
-    /// oldest response's arrival and the parked tile issues nothing), so
-    /// the whole span is window stalls; otherwise the span lost to a busy
-    /// bank and delegates to the bank-exact inner replay.
-    pub fn skip_conflicts_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        span: u64,
-        addr: u32,
-        who: Requester,
-    ) {
-        if self.cfg.is_flat() {
-            return self.mem.skip_conflicts_for(tile, now, span, addr, who);
-        }
-        if self.window_full(tile, now) {
-            debug_assert!(
-                self.oldest_inflight(tile, now).is_none_or(|d| d >= now + span),
-                "window-stall replay span outlives the oldest in-flight response"
-            );
-            self.mem.note_window_stall(tile, now, span, who);
-        } else {
-            self.mem.skip_conflicts_for(tile, now, span, addr, who);
-        }
-    }
-}
-
-/// The memory behind a fabric: either the flat banked [`SharedMemory`]
-/// (the seed model) or the DRAM-class [`Dram`] wrapped around it. One
-/// enum rather than a trait object so the fabric stays monomorphic and
-/// the per-cycle hot path has no virtual dispatch.
-#[derive(Debug)]
-pub enum FabricMemory {
-    /// Flat banked memory: every grant's response arrives at the flat
-    /// port cost, no window, no budget.
-    Shared(SharedMemory),
-    /// DRAM-class timing behind the same banked arbitration.
-    Dram(Dram),
-}
-
-impl From<SharedMemory> for FabricMemory {
-    fn from(mem: SharedMemory) -> Self {
-        FabricMemory::Shared(mem)
-    }
-}
-
-impl From<Dram> for FabricMemory {
-    fn from(dram: Dram) -> Self {
-        FabricMemory::Dram(dram)
-    }
-}
-
-impl FabricMemory {
-    /// The underlying banked memory (functional storage, flat port state,
-    /// per-tile stats and event buses) of either variant.
-    pub fn shared(&self) -> &SharedMemory {
-        match self {
-            FabricMemory::Shared(m) => m,
-            FabricMemory::Dram(d) => d.inner(),
-        }
-    }
-
-    /// Mutable access to the underlying banked memory.
-    pub fn shared_mut(&mut self) -> &mut SharedMemory {
-        match self {
-            FabricMemory::Shared(m) => m,
-            FabricMemory::Dram(d) => d.inner_mut(),
-        }
-    }
-
-    /// The DRAM wrapper, when this memory has one.
-    pub fn dram(&self) -> Option<&Dram> {
-        match self {
-            FabricMemory::Shared(_) => None,
-            FabricMemory::Dram(d) => Some(d),
-        }
-    }
-
-    /// Number of tile accounting domains.
-    pub fn tiles(&self) -> usize {
-        self.shared().tiles()
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.shared().banks()
-    }
-
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.shared().size()
-    }
-
-    /// Cycles one word access occupies a bank.
-    pub fn word_cycles(&self) -> u64 {
-        self.shared().word_cycles()
-    }
-
-    /// True when a grant or a refusal can hold a requester for more than
-    /// one cycle: DRAM-class timing (row latency, window, budget) or
-    /// multi-cycle words. On flat 1-cycle memory every response lands on
-    /// the next cycle and every busy bank frees by then.
-    pub fn multi_cycle(&self) -> bool {
-        self.word_cycles() > 1 || self.dram().is_some_and(|d| !d.config().is_flat())
-    }
-
-    /// One tile's port statistics.
-    pub fn stats_for(&self, tile: usize) -> SramStats {
-        self.shared().stats_for(tile)
-    }
-
-    /// Fabric-wide aggregates.
-    pub fn shared_stats(&self) -> SharedMemStats {
-        self.shared().shared_stats()
-    }
-
-    /// Install a structured-event sink for one tile.
-    pub fn set_event_bus_for(&mut self, tile: usize, bus: EventBus) {
-        self.shared_mut().set_event_bus_for(tile, bus);
-    }
-
-    /// Move one tile's collected events out of its bus.
-    pub fn take_events_for(&mut self, tile: usize) -> Vec<Event> {
-        self.shared_mut().take_events_for(tile)
-    }
-
-    /// Events evicted from one tile's bus by its ring bound.
-    pub fn events_dropped_for(&self, tile: usize) -> u64 {
-        self.shared().events_dropped_for(tile)
-    }
-
-    /// Flip one bit of the word at `addr` (fault injection).
-    pub fn corrupt_word(&mut self, addr: u32, bit: u8) -> bool {
-        self.shared_mut().corrupt_word(addr, bit)
-    }
-
-    /// Read one `f32` at `addr`.
-    pub fn read_f32(&self, addr: u32) -> f32 {
-        self.shared().read_f32(addr)
-    }
-
-    /// Read `n` consecutive `f32`s starting at `addr`.
-    pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        self.shared().read_f32s(addr, n)
-    }
-
-    /// Read `n` consecutive `u32`s starting at `addr`.
-    pub fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
-        self.shared().read_u32s(addr, n)
-    }
-
-    /// Issue a split-transaction burst request by `tile`.
-    pub fn request_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> MemIssue {
-        match self {
-            FabricMemory::Shared(m) => match m.try_start_burst_for(tile, now, addr, who, words) {
-                Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-                None => MemIssue::Refused(MemRefusal::BankBusy),
-            },
-            FabricMemory::Dram(d) => d.request_burst_for(tile, now, addr, who, words),
-        }
-    }
-
-    /// Earliest cycle the memory next changes state.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        match self {
-            FabricMemory::Shared(m) => m.next_event(now),
-            FabricMemory::Dram(d) => d.next_event(now),
-        }
-    }
-
-    /// Tile-aware park bound for a request to `addr` refused at `now`
-    /// (see [`Dram::next_event_for`]; on the flat variant this is the
-    /// bank-exact hint).
-    pub fn next_event_for(&self, tile: usize, addr: u32, now: u64) -> Option<u64> {
-        match self {
-            FabricMemory::Shared(m) => m.next_event_at(addr, now),
-            FabricMemory::Dram(d) => d.next_event_for(tile, addr, now),
-        }
-    }
-
-    /// Bulk-replay `span` skipped refusal cycles (see
-    /// [`Dram::skip_conflicts_for`]).
-    pub fn skip_conflicts_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        span: u64,
-        addr: u32,
-        who: Requester,
-    ) {
-        match self {
-            FabricMemory::Shared(m) => m.skip_conflicts_for(tile, now, span, addr, who),
-            FabricMemory::Dram(d) => d.skip_conflicts_for(tile, now, span, addr, who),
-        }
-    }
-}
-
-/// One tile's view of a [`FabricMemory`]: the `&mut dyn MemoryPort` the
-/// tile's core and HHT hold for the current cycle (successor of the
-/// Shared-only `TilePort`).
-///
-/// The port also remembers how its traffic went — the latest response
-/// cycle it granted ([`FabricPort::lands_at`]) and whether it refused a
-/// request ([`FabricPort::refused`]) — so a scheduler can tell after a
-/// step whether the tile may have become parkable on memory.
-pub struct FabricPort<'a> {
-    mem: &'a mut FabricMemory,
-    tile: usize,
-    lands_at: u64,
-    refused: bool,
-}
-
-impl<'a> FabricPort<'a> {
-    /// Borrow `mem` as tile `tile`'s port.
-    pub fn new(mem: &'a mut FabricMemory, tile: usize) -> Self {
-        FabricPort { mem, tile, lands_at: 0, refused: false }
-    }
-
-    /// Latest response cycle of the requests this port granted (0 when it
-    /// granted none).
-    pub fn lands_at(&self) -> u64 {
-        self.lands_at
-    }
-
-    /// True when this port refused at least one request.
-    pub fn refused(&self) -> bool {
-        self.refused
-    }
-
-    fn issue(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
-        let issue = self.mem.request_burst_for(self.tile, now, addr, who, words);
-        match issue {
-            MemIssue::Granted { data_at, .. } => self.lands_at = self.lands_at.max(data_at),
-            MemIssue::Refused(_) => self.refused = true,
-        }
-        issue
-    }
-}
-
-impl MemoryPort for FabricPort<'_> {
-    fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-        self.issue(now, addr, who, 1).data_at()
-    }
-
-    fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64> {
-        self.issue(now, addr, who, words).data_at()
-    }
-
-    fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
-        self.issue(now, addr, who, 1)
-    }
-
-    fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
-        self.issue(now, addr, who, words)
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.mem.next_event(now)
-    }
-
-    fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
-        self.mem.next_event_for(self.tile, addr, now)
-    }
-
-    fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
-        self.mem.skip_conflicts_for(self.tile, now, span, addr, who)
-    }
-
-    fn size(&self) -> u32 {
-        self.mem.size()
-    }
-
-    fn word_cycles(&self) -> u64 {
-        self.mem.word_cycles()
-    }
-
-    fn read_u8(&self, addr: u32) -> u8 {
-        self.mem.shared().read_u8(addr)
-    }
-
-    fn read_u16(&self, addr: u32) -> u16 {
-        self.mem.shared().read_u16(addr)
-    }
-
-    fn read_u32(&self, addr: u32) -> u32 {
-        self.mem.shared().read_u32(addr)
-    }
-
-    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        self.mem.shared().read_u32_checked(addr)
-    }
-
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        self.mem.shared_mut().write_u8(addr, value)
-    }
-
-    fn write_u16(&mut self, addr: u32, value: u16) {
-        self.mem.shared_mut().write_u16(addr, value)
-    }
-
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        self.mem.shared_mut().write_u32(addr, value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
+    use crate::{FabricPort, Requester, SharedMemStats, SharedMemory};
+    use hht_obs::{EventBus, EventKind, Track};
 
-    /// The flat configuration delegates straight to the inner memory:
-    /// grant cycles, hints and every stats field match call for call.
+    /// A word request by `tile`.
+    fn req(d: &mut SharedMemory, tile: usize, now: u64, addr: u32, who: Requester) -> MemIssue {
+        d.request_burst_for(tile, now, addr, who, 1)
+    }
+
+    /// The general DRAM path with every effect unable to bind (zero row
+    /// extras, a window no tile can fill, no budget) grants, refuses and
+    /// bounds exactly like the flat path; only the row counters differ.
     #[test]
     fn flat_dram_matches_shared_memory() {
-        let mut shared = SharedMemory::new(256, 2, 2, 2);
-        let mut dram = Dram::new(SharedMemory::new(256, 2, 2, 2), DramConfig::flat());
+        let mut flat = SharedMemory::new(256, 2, 2, 2);
+        let mut dram =
+            SharedMemory::new(256, 2, 2, 2).with_dram(DramConfig::flat().with_window(u32::MAX));
+        for t in 0..2 {
+            flat.set_event_bus_for(t, EventBus::new(64));
+            dram.set_event_bus_for(t, EventBus::new(64));
+        }
         let script: &[(usize, u64, u32, Requester, u64)] = &[
             (0, 0, 0x00, Requester::Cpu, 1),
             (1, 0, 0x20, Requester::Hht, 1),
@@ -638,16 +146,22 @@ mod tests {
             (1, 10, 0x84, Requester::Hht, 1),
         ];
         for &(tile, now, addr, who, words) in script {
-            let a = shared.try_start_burst_for(tile, now, addr, who, words);
-            let b = dram.try_start_burst_for(tile, now, addr, who, words);
-            assert_eq!(a, b, "diverged at cycle {now}");
-            assert_eq!(shared.next_event(now), dram.next_event(now));
-            assert_eq!(shared.next_event_at(addr, now), dram.next_event_for(tile, addr, now));
+            let a = flat.request_burst_for(tile, now, addr, who, words);
+            let b = dram.request_burst_for(tile, now, addr, who, words);
+            assert_eq!(a.data_at(), b.data_at(), "diverged at cycle {now}");
+            assert_eq!(flat.next_event_for(tile, addr, now), dram.next_event_for(tile, addr, now));
         }
-        assert_eq!(shared.stats_for(0), dram.inner().stats_for(0));
-        assert_eq!(shared.stats_for(1), dram.inner().stats_for(1));
-        assert_eq!(shared.shared_stats(), dram.inner().shared_stats());
-        assert_eq!(dram.inner().shared_stats().row_hits, 0);
+        flat.skip_conflicts_for(1, 11, 3, 0x84, Requester::Cpu);
+        dram.skip_conflicts_for(1, 11, 3, 0x84, Requester::Cpu);
+        for t in 0..2 {
+            assert_eq!(flat.stats_for(t), dram.stats_for(t));
+            let mut events = dram.take_events_for(t);
+            events.retain(|e| e.track != Track::MemQueue);
+            assert_eq!(flat.take_events_for(t), events);
+        }
+        let (a, b) = (flat.shared_stats(), dram.shared_stats());
+        assert!(b.row_misses > 0, "the general DRAM path never ran");
+        assert_eq!(a, SharedMemStats { row_hits: 0, row_misses: 0, ..b });
     }
 
     /// Row-buffer timing: the first access to a row pays the miss extra,
@@ -657,27 +171,27 @@ mod tests {
     #[test]
     fn row_hit_and_miss_response_latency() {
         let cfg = DramConfig::flat().with_row_latency(2, 10).with_row_words(16);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut d = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
         // Cold: row miss. Flat cost 1, +10 response.
         assert_eq!(
-            d.request_for(0, 0, 0x00, Requester::Cpu),
+            req(&mut d, 0, 0, 0x00, Requester::Cpu),
             MemIssue::Granted { data_at: 11, row: RowOutcome::Miss }
         );
         // Bank frees at the flat cost: a request at cycle 1 is granted
         // even though the first response is still in flight.
         assert_eq!(
-            d.request_for(0, 1, 0x04, Requester::Cpu),
+            req(&mut d, 0, 1, 0x04, Requester::Cpu),
             MemIssue::Granted { data_at: 4, row: RowOutcome::Hit }
         );
         // Same bank (single bank), different 16-word row: miss again.
         assert_eq!(
-            d.request_for(0, 2, 0x40, Requester::Hht),
+            req(&mut d, 0, 2, 0x40, Requester::Hht),
             MemIssue::Granted { data_at: 13, row: RowOutcome::Miss }
         );
-        let shared = d.inner().shared_stats();
+        let shared = d.shared_stats();
         assert_eq!(shared.row_hits, 1);
         assert_eq!(shared.row_misses, 2);
-        let tile = d.inner().stats_for(0);
+        let tile = d.stats_for(0);
         assert_eq!(tile.cpu_row_miss_extra, 10);
         assert_eq!(tile.cpu_row_hit_extra, 2);
     }
@@ -688,25 +202,25 @@ mod tests {
     #[test]
     fn window_caps_in_flight_transactions() {
         let cfg = DramConfig::flat().with_row_latency(0, 20).with_window(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
-        assert_eq!(d.request_for(0, 0, 0x00, Requester::Cpu).data_at(), Some(21));
+        let mut d = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
+        assert_eq!(req(&mut d, 0, 0, 0x00, Requester::Cpu).data_at(), Some(21));
         assert_eq!(d.in_flight(0, 1), 1);
         // Bank is free at cycle 1, but the window is full until cycle 21.
         assert_eq!(
-            d.request_for(0, 1, 0x04, Requester::Cpu),
+            req(&mut d, 0, 1, 0x04, Requester::Cpu),
             MemIssue::Refused(MemRefusal::WindowFull)
         );
         assert_eq!(d.next_event_for(0, 0x04, 1), Some(21));
         // Response retires, window opens: open-row hit, zero extra.
         assert_eq!(
-            d.request_for(0, 21, 0x04, Requester::Cpu),
+            req(&mut d, 0, 21, 0x04, Requester::Cpu),
             MemIssue::Granted { data_at: 22, row: RowOutcome::Hit }
         );
-        let tile = d.inner().stats_for(0);
+        let tile = d.stats_for(0);
         assert_eq!(tile.cpu_window_stalls, 1);
         assert_eq!(tile.cpu_conflicts, 1);
         assert_eq!(tile.cpu_cross_tile_conflicts, 0);
-        assert_eq!(d.inner().shared_stats().window_stalls, 1);
+        assert_eq!(d.shared_stats().window_stalls, 1);
     }
 
     /// The grant budget refuses otherwise-grantable requests once spent,
@@ -714,17 +228,17 @@ mod tests {
     #[test]
     fn bandwidth_budget_limits_grants_per_cycle() {
         let cfg = DramConfig::flat().with_bandwidth(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 2, 2), cfg);
+        let mut d = SharedMemory::new(1024, 1, 2, 2).with_dram(cfg);
         // Two different banks, same cycle: second grant exceeds the budget.
-        assert!(d.request_for(0, 5, 0x00, Requester::Cpu).data_at().is_some());
+        assert!(req(&mut d, 0, 5, 0x00, Requester::Cpu).data_at().is_some());
         assert_eq!(
-            d.request_for(1, 5, 0x20, Requester::Cpu),
+            req(&mut d, 1, 5, 0x20, Requester::Cpu),
             MemIssue::Refused(MemRefusal::BandwidthExhausted)
         );
         assert_eq!(d.next_event_for(1, 0x20, 5), None);
         // Budget refreshes next cycle.
-        assert!(d.request_for(1, 6, 0x20, Requester::Cpu).data_at().is_some());
-        let shared = d.inner().shared_stats();
+        assert!(req(&mut d, 1, 6, 0x20, Requester::Cpu).data_at().is_some());
+        let shared = d.shared_stats();
         assert_eq!(shared.bandwidth_stalls, 1);
         assert_eq!(shared.grant_budget, 1);
         // Budget refusals are not cross-tile: no bank was held.
@@ -736,10 +250,10 @@ mod tests {
     #[test]
     fn burst_is_one_transaction() {
         let cfg = DramConfig::flat().with_window(1).with_bandwidth(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 2, 1, 1), cfg);
+        let mut d = SharedMemory::new(1024, 2, 1, 1).with_dram(cfg);
         assert_eq!(d.request_burst_for(0, 0, 0x00, Requester::Cpu, 8).data_at(), Some(9));
         assert_eq!(d.in_flight(0, 0), 1);
-        assert_eq!(d.inner().stats_for(0).cpu_accesses, 8);
+        assert_eq!(d.stats_for(0).cpu_accesses, 8);
     }
 
     /// Bulk window-stall replay charges exactly what the per-cycle retry
@@ -748,32 +262,32 @@ mod tests {
     fn window_skip_replay_matches_per_cycle_refusals() {
         let cfg = DramConfig::flat().with_row_latency(0, 30).with_window(1);
         // Per-cycle oracle: retry every cycle against the full window.
-        let mut a = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
-        a.request_for(0, 0, 0x00, Requester::Cpu);
+        let mut a = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
+        req(&mut a, 0, 0, 0x00, Requester::Cpu);
         for c in 1..6 {
             assert_eq!(
-                a.request_for(0, c, 0x40, Requester::Cpu),
+                req(&mut a, 0, c, 0x40, Requester::Cpu),
                 MemIssue::Refused(MemRefusal::WindowFull)
             );
         }
         // Bulk replay of the same span.
-        let mut b = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
-        b.request_for(0, 0, 0x00, Requester::Cpu);
+        let mut b = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
+        req(&mut b, 0, 0, 0x00, Requester::Cpu);
         b.skip_conflicts_for(0, 1, 5, 0x40, Requester::Cpu);
-        assert_eq!(a.inner().stats_for(0), b.inner().stats_for(0));
-        assert_eq!(a.inner().shared_stats(), b.inner().shared_stats());
+        assert_eq!(a.stats_for(0), b.stats_for(0));
+        assert_eq!(a.shared_stats(), b.shared_stats());
     }
 
-    /// The DRAM backend emits row-transition and occupancy events on the
-    /// mem-queue track; the flat configuration emits none.
+    /// The DRAM path emits row-transition and occupancy events on the
+    /// mem-queue track; the flat path emits none.
     #[test]
     fn dram_emits_mem_queue_events() {
         let cfg = DramConfig::flat().with_row_latency(1, 5);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
-        d.inner_mut().set_event_bus_for(0, EventBus::new(64));
-        d.request_for(0, 0, 0x00, Requester::Cpu); // miss: RowOpen + level
-        d.request_for(0, 1, 0x04, Requester::Cpu); // hit: level only
-        let events = d.inner_mut().take_events_for(0);
+        let mut d = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
+        d.set_event_bus_for(0, EventBus::new(64));
+        req(&mut d, 0, 0, 0x00, Requester::Cpu); // miss: RowOpen + level
+        req(&mut d, 0, 1, 0x04, Requester::Cpu); // hit: level only
+        let events = d.take_events_for(0);
         let row_opens =
             events.iter().filter(|e| matches!(e.kind, EventKind::RowOpen { .. })).count();
         let levels = events
@@ -785,19 +299,20 @@ mod tests {
         assert_eq!(row_opens, 1);
         assert_eq!(levels, 2);
 
-        let mut flat = Dram::new(SharedMemory::new(1024, 1, 1, 1), DramConfig::flat());
-        flat.inner_mut().set_event_bus_for(0, EventBus::new(64));
-        flat.request_for(0, 0, 0x00, Requester::Cpu);
-        let events = flat.inner_mut().take_events_for(0);
+        let mut flat = SharedMemory::new(1024, 1, 1, 1);
+        flat.set_event_bus_for(0, EventBus::new(64));
+        req(&mut flat, 0, 0, 0x00, Requester::Cpu);
+        let events = flat.take_events_for(0);
         assert!(events.iter().all(|e| e.track != Track::MemQueue));
     }
 
-    /// `FabricPort` over either variant exposes the `MemoryPort` surface;
-    /// over a DRAM it surfaces the real refusal kinds and row outcomes.
+    /// `FabricPort` exposes the `MemoryPort` surface: over DRAM timing it
+    /// surfaces the real refusal kinds and row outcomes, and it remembers
+    /// its latest response and whether it refused.
     #[test]
     fn fabric_port_surfaces_real_outcomes() {
         let cfg = DramConfig::flat().with_row_latency(0, 7).with_window(1);
-        let mut mem = FabricMemory::Dram(Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg));
+        let mut mem = SharedMemory::new(1024, 1, 1, 1).with_dram(cfg);
         {
             let mut port = FabricPort::new(&mut mem, 0);
             let p: &mut dyn MemoryPort = &mut port;
@@ -809,14 +324,14 @@ mod tests {
                 p.request(1, 0x04, Requester::Hht),
                 MemIssue::Refused(MemRefusal::WindowFull)
             );
-            assert_eq!(p.next_event_at(0x04, 1), Some(8));
-            assert!(p.response_ready(8, 8));
             p.write_u32(16, 99);
             assert_eq!(p.read_u32(16), 99);
+            assert_eq!((port.lands_at(), port.refused()), (8, true));
         }
+        assert_eq!(mem.next_event_for(0, 0x04, 1), Some(8));
         assert_eq!(mem.stats_for(0).hht_window_stalls, 1);
 
-        let mut flat = FabricMemory::from(SharedMemory::new(256, 2, 1, 1));
+        let mut flat = SharedMemory::new(256, 2, 1, 1);
         let mut port = FabricPort::new(&mut flat, 0);
         assert_eq!(
             port.request(0, 0, Requester::Cpu),

@@ -8,14 +8,18 @@
 //! - [`Sram`] — the RAM: functional byte/word storage plus a single-ported
 //!   timing model (`try_start` arbitration; whoever calls first in a cycle
 //!   wins the port, and the system steps the CPU before the HHT so the CPU
-//!   has priority).
+//!   has priority). It builds every problem image and is the timing
+//!   reference of the 1-tile differential tests.
 //! - [`L1dCache`] — an optional set-associative cache for the paper's
 //!   "high-performance processor integration" (§3.2), used in ablations.
-//! - [`Dram`] — the DRAM-class split-transaction backend wrapped around
-//!   the banked memory: row-buffer hit/miss response latency, a per-tile
-//!   bounded in-flight window (MLP ceiling) and a grants-per-cycle
-//!   bandwidth budget. [`FabricMemory`] selects between the flat banked
-//!   model and the DRAM wrapper behind one [`FabricPort`].
+//! - [`SharedMemory`] — the one fabric memory: the RAM shared by every
+//!   tile over interleaved banks, flat by default or under DRAM-class
+//!   timing ([`DramConfig`]: row-buffer hit/miss response latency, a
+//!   per-tile bounded in-flight window (MLP ceiling) and a grants-per-cycle
+//!   bandwidth budget). Each tile reaches it through a [`FabricPort`].
+//! - [`MemoryPort`] — the calls the core and the HHT engines make on
+//!   memory: split-transaction requests, skipped-refusal replay and
+//!   functional storage.
 //! - [`map`] — the physical address map (RAM, HHT MMRs, HHT buffer window).
 //! - [`MmioDevice`] — the trait the HHT front-end implements to appear in
 //!   the CPU's load/store space.
@@ -28,9 +32,9 @@ pub mod mmio;
 pub mod port;
 pub mod sram;
 
-pub use banked::{SharedMemStats, SharedMemory, TilePort};
+pub use banked::{FabricPort, SharedMemStats, SharedMemory};
 pub use cache::L1dCache;
-pub use dram::{Dram, DramConfig, FabricMemory, FabricPort};
+pub use dram::DramConfig;
 pub use mmio::{MmioDevice, MmioReadResult};
 pub use port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
 pub use sram::{Requester, Sram, SramStats};

@@ -1,19 +1,23 @@
 //! The typed memory-port interface between cycle-domain components and
 //! whatever memory implementation backs them.
 //!
-//! Before the fabric refactor every component held a concrete `&mut Sram`;
-//! now the core and the HHT engines speak [`MemoryPort`], so the same
+//! The core and the HHT engines speak [`MemoryPort`], so the same
 //! component code runs against the single-ported [`Sram`](crate::Sram) (the
-//! paper's one-core-one-HHT configuration) or against one tile's view of
-//! the banked [`SharedMemory`](crate::SharedMemory) (the N-tile fabric).
+//! paper's one-core-one-HHT configuration, kept as the test reference) or
+//! against one tile's [`FabricPort`](crate::FabricPort) view of the
+//! [`SharedMemory`](crate::SharedMemory) (the N-tile fabric).
 //!
-//! The trait deliberately mirrors `Sram`'s split personality:
+//! The trait has exactly the calls components make:
 //!
-//! - *timed* access ([`MemoryPort::try_start`]/[`MemoryPort::try_start_burst`])
-//!   models port arbitration — a request while the port (bank) is busy is
-//!   rejected and the caller retries next cycle;
+//! - *timed* access ([`MemoryPort::request`]/[`MemoryPort::request_burst`])
+//!   issues a split-transaction request — refused requests are retried
+//!   next cycle — and [`MemoryPort::skip_conflicts`] replays the refusals
+//!   of a span the scheduler skipped;
 //! - *functional* access (`read_u32`, `write_u32`, …) is untimed and used
 //!   by agents that already won the port for the current transaction.
+//!
+//! Wake bounds are not on the trait: the fabric asks its memory directly
+//! ([`SharedMemory::next_event_for`](crate::SharedMemory::next_event_for)).
 
 use crate::sram::Requester;
 
@@ -49,7 +53,8 @@ pub enum RowOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemIssue {
     /// The request was accepted; its response (data / write commit) is
-    /// ready at `data_at`, queryable with [`MemoryPort::response_ready`].
+    /// ready at `data_at`. Responses are delivered at that fixed cycle,
+    /// never reordered and never retracted.
     Granted {
         /// Cycle the response arrives.
         data_at: u64,
@@ -62,8 +67,7 @@ pub enum MemIssue {
 }
 
 impl MemIssue {
-    /// The response-ready cycle of a granted issue, `None` when refused —
-    /// the shape the legacy same-cycle `try_start` protocol exposed.
+    /// The response-ready cycle of a granted issue, `None` when refused.
     pub fn data_at(self) -> Option<u64> {
         match self {
             MemIssue::Granted { data_at, .. } => Some(data_at),
@@ -72,79 +76,29 @@ impl MemIssue {
     }
 }
 
-/// A component-facing memory port: timed arbitration plus functional
-/// storage access. Implemented by [`Sram`](crate::Sram) (single shared
-/// port) and [`FabricPort`](crate::FabricPort) (one tile's view of the
-/// banked shared memory or the DRAM-class backend wrapped around it).
+/// A component-facing memory port: timed requests plus functional storage
+/// access. Implemented by [`Sram`](crate::Sram) (single shared port) and
+/// [`FabricPort`](crate::FabricPort) (one tile's view of the shared memory).
 pub trait MemoryPort {
-    // ---- timed port model ----
+    // ---- timed requests ----
 
-    /// Try to start a word access to `addr` at cycle `now`; `Some(done_at)`
-    /// on grant, `None` when the port (bank) is busy. Call order within a
-    /// cycle is the arbitration order. The single-ported [`Sram`](crate::Sram)
-    /// ignores `addr`; the banked memory uses it to select the bank.
-    fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64>;
+    /// Issue a word request to `addr` at cycle `now`. Call order within a
+    /// cycle is the arbitration order. On grant the port queues a response
+    /// for `data_at` and the requestor is free to do other work until
+    /// then; on refusal the caller retries next cycle (the refusal kind
+    /// says what the retry waits for).
+    fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue;
 
-    /// Try to start a burst of `words` consecutive word accesses starting
-    /// at `addr` (an L1D line fill). Returns the completion cycle or `None`
-    /// when busy.
-    fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64>;
+    /// Issue a burst request of `words` consecutive words starting at
+    /// `addr` (an L1D line fill) — the burst counterpart of
+    /// [`MemoryPort::request`], one transaction regardless of `words`.
+    fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue;
 
-    // ---- split-transaction protocol ----
-
-    /// Issue a word request to `addr` at cycle `now`. On grant the port
-    /// queues a response for `data_at` and the requestor is free to do other
-    /// work until [`MemoryPort::response_ready`]; on refusal the caller
-    /// retries next cycle (the refusal kind says what the retry waits for).
-    ///
-    /// The default wraps the legacy same-cycle [`MemoryPort::try_start`]
-    /// protocol: every grant is a [`RowOutcome::Flat`] response and every
-    /// refusal a [`MemRefusal::BankBusy`] — exactly the zero-latency
-    /// degenerate case. Backends that model response latency, in-flight
-    /// windows or bandwidth budgets override this with the real outcome.
-    fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
-        match self.try_start(now, addr, who) {
-            Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-            None => MemIssue::Refused(MemRefusal::BankBusy),
-        }
-    }
-
-    /// Issue a burst request (an L1D line fill) — the burst counterpart of
-    /// [`MemoryPort::request`], one transaction against the window and the
-    /// bandwidth budget regardless of `words`.
-    fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
-        match self.try_start_burst(now, addr, who, words) {
-            Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-            None => MemIssue::Refused(MemRefusal::BankBusy),
-        }
-    }
-
-    /// Has the response issued with `data_at` arrived by cycle `now`? The
-    /// response side of the split transaction: responses are delivered at a
-    /// fixed cycle, never reordered and never retracted, so this is a pure
-    /// comparison on every backend.
-    fn response_ready(&self, now: u64, data_at: u64) -> bool {
-        data_at <= now
-    }
-
-    /// The cycle at which the port next changes state when busy at `now`
-    /// (the cycle-skipping scheduler's hint); `None` while idle. For a
-    /// banked memory this is the earliest free cycle over all busy banks.
-    fn next_event(&self, now: u64) -> Option<u64>;
-
-    /// Like [`MemoryPort::next_event`], but for the specific port/bank that
-    /// serves `addr` — `None` when that bank is already free at `now`. On a
-    /// single-ported memory this is the same as `next_event`.
-    fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
-        let _ = addr;
-        self.next_event(now)
-    }
-
-    /// Replay `span` skipped arbitration losses by `who` against the bank
-    /// serving `addr`, one per cycle starting at `now` — the per-requestor
-    /// bulk-replay hook the cycle-skipping scheduler uses so conflict
-    /// counters and per-cycle conflict events stay bit-identical to the
-    /// per-cycle loop. The single-ported SRAM ignores `addr`.
+    /// Replay `span` skipped refusals of requests by `who` to `addr`, one
+    /// per cycle starting at `now` — the per-requestor bulk-replay hook the
+    /// event-queue scheduler uses so conflict counters and per-cycle
+    /// conflict events stay bit-identical to the per-cycle loop. The
+    /// single-ported SRAM ignores `addr`.
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester);
 
     // ---- functional storage ----
@@ -214,17 +168,22 @@ pub trait MemoryPort {
     }
 }
 
+/// An [`Sram`](crate::Sram) grant as a flat split-transaction issue: the
+/// response lands at the grant's completion cycle, a busy port refuses.
+fn flat_issue(done_at: Option<u64>) -> MemIssue {
+    match done_at {
+        Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
+        None => MemIssue::Refused(MemRefusal::BankBusy),
+    }
+}
+
 impl MemoryPort for crate::Sram {
-    fn try_start(&mut self, now: u64, _addr: u32, who: Requester) -> Option<u64> {
-        crate::Sram::try_start(self, now, who)
+    fn request(&mut self, now: u64, _addr: u32, who: Requester) -> MemIssue {
+        flat_issue(crate::Sram::try_start(self, now, who))
     }
 
-    fn try_start_burst(&mut self, now: u64, _addr: u32, who: Requester, words: u64) -> Option<u64> {
-        crate::Sram::try_start_burst(self, now, who, words)
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        crate::Sram::next_event(self, now)
+    fn request_burst(&mut self, now: u64, _addr: u32, who: Requester, words: u64) -> MemIssue {
+        flat_issue(crate::Sram::try_start_burst(self, now, who, words))
     }
 
     /// `Sram` has exactly one port, so every address maps to the same
@@ -282,15 +241,19 @@ mod tests {
 
     /// The trait impl on `Sram` forwards to the inherent methods, so a
     /// component holding `&mut dyn MemoryPort` sees the exact single-port
-    /// timing model.
+    /// timing model: grants become flat responses at the grant's
+    /// completion cycle, a busy port refuses with `BankBusy`.
     #[test]
     fn sram_through_the_trait_is_the_sram() {
         let mut sram = Sram::new(64, 2);
         let port: &mut dyn MemoryPort = &mut sram;
-        assert_eq!(port.try_start(0, 0, Requester::Cpu), Some(2));
-        assert_eq!(port.try_start(1, 4, Requester::Hht), None);
-        assert_eq!(port.next_event(1), Some(2));
-        assert_eq!(port.next_event_at(0x20, 1), Some(2));
+        let issue = port.request(0, 0, Requester::Cpu);
+        assert_eq!(issue, MemIssue::Granted { data_at: 2, row: RowOutcome::Flat });
+        assert_eq!(issue.data_at(), Some(2));
+        let refused = port.request(1, 4, Requester::Hht);
+        assert_eq!(refused, MemIssue::Refused(MemRefusal::BankBusy));
+        assert_eq!(refused.data_at(), None);
+        assert_eq!(port.request_burst(2, 0, Requester::Cpu, 8).data_at(), Some(11));
         port.write_u32(8, 0xABCD_EF01);
         assert_eq!(port.read_u32(8), 0xABCD_EF01);
         assert_eq!(port.read_u16(8), 0xEF01);
@@ -300,35 +263,15 @@ mod tests {
         assert_eq!(port.read_f32(12), 2.5);
         assert_eq!(port.size(), 64);
         assert_eq!(port.word_cycles(), 2);
-        port.skip_conflicts(2, 3, 0, Requester::Hht);
+        port.skip_conflicts(11, 3, 0, Requester::Hht);
+        assert_eq!(sram.stats().cpu_accesses, 9);
         assert_eq!(sram.stats().conflicts, 4);
     }
 
-    /// The default split-transaction wrappers expose the legacy same-cycle
-    /// protocol unchanged: grants become flat responses at the same cycle,
-    /// refusals become `BankBusy`, and `response_ready` is the plain
-    /// completion-cycle comparison.
-    #[test]
-    fn default_request_wraps_try_start() {
-        let mut sram = Sram::new(64, 2);
-        let port: &mut dyn MemoryPort = &mut sram;
-        let issue = port.request(0, 0, Requester::Cpu);
-        assert_eq!(issue, MemIssue::Granted { data_at: 2, row: RowOutcome::Flat });
-        assert_eq!(issue.data_at(), Some(2));
-        let refused = port.request(1, 4, Requester::Hht);
-        assert_eq!(refused, MemIssue::Refused(MemRefusal::BankBusy));
-        assert_eq!(refused.data_at(), None);
-        assert!(!port.response_ready(1, 2));
-        assert!(port.response_ready(2, 2));
-        assert_eq!(port.request_burst(2, 0, Requester::Cpu, 8).data_at(), Some(11));
-        assert_eq!(sram.stats().cpu_accesses, 9);
-        assert_eq!(sram.stats().conflicts, 1);
-    }
-
-    /// Satellite regression for the discarded `addr` in `Sram`'s
-    /// `skip_conflicts`: with a single port there is one arbitration
-    /// domain, so a bulk replay must equal the per-cycle retries whatever
-    /// addresses those retries used — counters and event-free state alike.
+    /// Regression for the discarded `addr` in `Sram`'s `skip_conflicts`:
+    /// with a single port there is one arbitration domain, so a bulk
+    /// replay must equal the per-cycle retries whatever addresses those
+    /// retries used — counters and event-free state alike.
     #[test]
     fn sram_skip_replay_is_addr_independent() {
         // Per-cycle oracle: retries against three *different* addresses.
@@ -336,7 +279,7 @@ mod tests {
         a.try_start(0, Requester::Hht);
         for (c, addr) in [(1u64, 0x00u32), (2, 0x14), (3, 0x3c)] {
             let p: &mut dyn MemoryPort = &mut a;
-            assert_eq!(p.try_start(c, addr, Requester::Cpu), None);
+            assert_eq!(p.request(c, addr, Requester::Cpu), MemIssue::Refused(MemRefusal::BankBusy));
         }
         // Bulk replay of the same span via the trait, at yet another addr.
         let mut b = Sram::new(64, 8);

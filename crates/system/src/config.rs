@@ -129,14 +129,12 @@ pub struct SystemConfig {
     /// doubles per accumulated failure (`base << (retries - 1)`). Fabric
     /// recovery only.
     pub tile_backoff: u64,
-    /// DRAM-class memory timing (`None`, the default, keeps the flat
-    /// SRAM-class [`hht_mem::SharedMemory`] model). When set, the fabric
-    /// wraps its memory in [`hht_mem::Dram`]: split-transaction responses
-    /// with row-buffer hit/miss latency, a per-tile bounded in-flight
-    /// window (the MLP ceiling) and a grants-per-cycle bandwidth budget.
-    /// `Some(DramConfig::flat())` is bit-identical to `None` (pinned by
-    /// the determinism suite).
-    pub dram: Option<DramConfig>,
+    /// Memory timing of the fabric's [`hht_mem::SharedMemory`]. The
+    /// default, [`DramConfig::flat`], is the flat SRAM-class model; any
+    /// other value adds DRAM-class split-transaction timing: row-buffer
+    /// hit/miss response latency, a per-tile bounded in-flight window (the
+    /// MLP ceiling) and a grants-per-cycle bandwidth budget.
+    pub dram: DramConfig,
 }
 
 impl SystemConfig {
@@ -155,7 +153,7 @@ impl SystemConfig {
             recovery: false,
             tile_retries: 2,
             tile_backoff: 64,
-            dram: None,
+            dram: DramConfig::flat(),
         }
     }
 
@@ -246,11 +244,11 @@ impl SystemConfig {
         self
     }
 
-    /// Same configuration with DRAM-class memory timing (row-buffer
-    /// latency, MLP window, bandwidth budget). `DramConfig::flat()` is
-    /// bit-identical to the flat model and exists for differential tests.
+    /// Same configuration with memory timing `dram` (row-buffer latency,
+    /// MLP window, bandwidth budget); `DramConfig::flat()` restores the
+    /// flat default.
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = Some(dram);
+        self.dram = dram;
         self
     }
 }

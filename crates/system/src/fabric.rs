@@ -46,7 +46,7 @@ use crate::system::{FaultSummary, SystemStats};
 use hht_accel::{Hht, HhtStats, Wake};
 use hht_fault::{FaultKind, FaultPlan};
 use hht_isa::Program;
-use hht_mem::{Dram, FabricMemory, FabricPort, SharedMemStats, SharedMemory, SramStats};
+use hht_mem::{FabricPort, SharedMemStats, SharedMemory, SramStats};
 use hht_obs::{
     merge_events, Event, EventBus, EventKind, ObsDrops, SkipSpan, StallBreakdown, Track,
 };
@@ -181,7 +181,7 @@ impl TileSchedStats {
 }
 
 /// One CPU + HHT pair of the fabric. The tile owns no memory: all its
-/// traffic goes through its [`TilePort`] view of the shared banks.
+/// traffic goes through its [`FabricPort`] view of the shared banks.
 struct Tile {
     core: Core,
     hht: Hht,
@@ -442,13 +442,13 @@ impl FabricStats {
 /// scheduler (see [`SystemConfig::scheduler`]).
 pub struct Fabric {
     tiles: Vec<Tile>,
-    mem: FabricMemory,
+    mem: SharedMemory,
     arb: ArbPolicy,
     cycle: u64,
     max_cycles: u64,
     scheduler: Scheduler,
     /// The memory can hold a requester past the next cycle
-    /// ([`FabricMemory::multi_cycle`]), fixed at construction.
+    /// ([`SharedMemory::multi_cycle`]), fixed at construction.
     multi_cycle_mem: bool,
     /// Pending fault schedule; the next pending cycle bounds every park
     /// so no injection point is skipped over.
@@ -551,13 +551,7 @@ impl Fabric {
             });
         }
         let plan = FaultPlan::from_seed(cfg.fault, mem.size());
-        // Wrap the memory per the configured timing model. A flat DRAM
-        // config is bit-identical to the bare banked memory (pinned in
-        // `tests/determinism.rs`), so differential tests toggle only this.
-        let mem = match cfg.dram {
-            Some(dc) => FabricMemory::Dram(Dram::new(mem, dc)),
-            None => FabricMemory::Shared(mem),
-        };
+        let mem = mem.with_dram(cfg.dram);
         Fabric {
             tiles,
             multi_cycle_mem: mem.multi_cycle(),
@@ -810,7 +804,7 @@ impl Fabric {
     /// banks, whose `free_at` cannot move until they free (a grant requires
     /// a free bank). Under the DRAM backend a port bound may instead be
     /// the tile's *own* in-flight window draining (see
-    /// [`hht_mem::Dram::next_event_for`]) — equally uncoupled, since only
+    /// [`SharedMemory::next_event_for`]) — equally uncoupled, since only
     /// the parked tile's responses occupy its window and a parked tile
     /// issues nothing. Everything else in the bound is the tile's own core
     /// and engine timing, which no other tile can touch.
@@ -1003,7 +997,7 @@ impl Fabric {
     /// cost. A tile is probed right after a step that signals a likely
     /// park — its core started an instruction that keeps it busy past the
     /// next cycle, or, on memory that can hold a requester longer than a
-    /// cycle ([`FabricMemory::multi_cycle`]), one of its responses lands
+    /// cycle ([`SharedMemory::multi_cycle`]), one of its responses lands
     /// after the next cycle or its request was refused — and otherwise at
     /// doubling offsets (1, 2, 4, … cycles) from the start of its busy
     /// streak, which resets on every park and onset. A tile that turns
@@ -1137,7 +1131,7 @@ impl Fabric {
     }
 
     /// Borrow the memory (for test inspection).
-    pub fn mem(&self) -> &FabricMemory {
+    pub fn mem(&self) -> &SharedMemory {
         &self.mem
     }
 

@@ -216,10 +216,16 @@ impl<'a> Job<'a> {
         matrix.saturating_add(operand + m.rows())
     }
 
-    /// Check the operand, then size the SRAM for the image plus `extra`
-    /// words (the fabric's per-shard row-pointer copies).
+    /// Check the operand and the memory timing, then size the SRAM for the
+    /// image plus `extra` words (the fabric's per-shard row-pointer copies).
     pub(crate) fn sram_size(&self, cfg: &SystemConfig, extra: usize) -> Result<u32, JobError> {
         self.check()?;
+        if cfg.ram_word_cycles == 0 {
+            return Err(JobError::ZeroWordCycles);
+        }
+        if cfg.dram.row_words == 0 {
+            return Err(JobError::ZeroRowWords);
+        }
         sram_bytes(cfg.ram_size, self.words().saturating_add(extra))
     }
 
@@ -294,6 +300,10 @@ pub enum JobError {
     NoBanks,
     /// The image needs `bytes` of SRAM, past the 32-bit address space.
     ImageTooLarge { bytes: u64 },
+    /// `ram_word_cycles` is 0: a memory access takes at least one cycle.
+    ZeroWordCycles,
+    /// The DRAM timing's `row_words` is 0: a row holds at least one word.
+    ZeroRowWords,
     /// A single-tile run of kernel `what` faulted and no fallback applied.
     KernelFault { what: &'static str, error: RunError },
     /// A fabric run of kernel `what` faulted with the recovery policy off.
@@ -325,6 +335,8 @@ impl fmt::Display for JobError {
             JobError::ImageTooLarge { bytes } => {
                 write!(f, "problem image needs {bytes} bytes, past the 32-bit address space")
             }
+            JobError::ZeroWordCycles => write!(f, "memory words take 0 cycles (ram_word_cycles)"),
+            JobError::ZeroRowWords => write!(f, "DRAM rows hold 0 words (row_words)"),
             JobError::KernelFault { what, error } => write!(f, "{what} kernel fault: {error}"),
             JobError::FabricFault { what, error } => {
                 write!(f, "{what}: fabric run failed: {error:?}")

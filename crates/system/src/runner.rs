@@ -859,6 +859,7 @@ mod tests {
     #[test]
     fn every_job_error_variant_is_returned() {
         use hht_fault::{FaultEvent, FaultKind, FaultPlan};
+        use hht_mem::DramConfig;
         let cfg = SystemConfig::paper_default();
         let m = generate::random_csr(16, 16, 0.5, 81);
         let v = generate::random_dense_vector(16, 82);
@@ -900,6 +901,16 @@ mod tests {
                 run(&cfg, &Job::new(Kernel::DenseMatvec, &wide, &wide_v)).map(drop),
                 "past the 32-bit address space",
             ),
+            (run(&cfg.with_ram_word_cycles(0), &spmv).map(drop), "memory words take 0 cycles"),
+            (
+                run_fabric(
+                    &cfg.with_dram(DramConfig { row_words: 0, ..DramConfig::flat() }),
+                    fab,
+                    &spmv,
+                )
+                .map(drop),
+                "DRAM rows hold 0 words",
+            ),
             (
                 run(&stuck, &spmv.clone().with_plan(sticky)).map(drop),
                 "spmv_hht kernel fault: watchdog",
@@ -919,7 +930,7 @@ mod tests {
             assert!(e.to_string().contains(text), "{e} does not contain {text:?}");
             variants.insert(std::mem::discriminant(&e));
         }
-        assert_eq!(variants.len(), 9, "one case per JobError variant");
+        assert_eq!(variants.len(), 11, "one case per JobError variant");
     }
 
     /// The frozen benchmark wrappers are bit-identical to the job calls

@@ -14,7 +14,7 @@ use crate::fabric::{Fabric, FabricConfig};
 use hht_accel::HhtStats;
 use hht_fault::FaultPlan;
 use hht_isa::Program;
-use hht_mem::{FabricMemory, SharedMemory, Sram, SramStats};
+use hht_mem::{SharedMemory, Sram, SramStats};
 use hht_obs::Event;
 use hht_sim::{CoreStats, RunError};
 use hht_sparse::DenseVector;
@@ -137,7 +137,7 @@ impl System {
     }
 
     /// Borrow the memory (for test inspection).
-    pub fn mem(&self) -> &FabricMemory {
+    pub fn mem(&self) -> &SharedMemory {
         self.fabric.mem()
     }
 

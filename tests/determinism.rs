@@ -609,14 +609,16 @@ fn event_queue_parks_are_architecturally_inert() {
 }
 
 // ---------------------------------------------------------------------------
-// Split-transaction DRAM backend vs the seed flat SharedMemory
+// DRAM-class timing path vs the flat path of the one SharedMemory
 // ---------------------------------------------------------------------------
 
-/// The refactor's safety net: wrapping the shared memory in a `Dram` whose
-/// every effect is disabled (`DramConfig::flat()` — zero row extras, no
-/// window, no budget) must be observationally invisible. Stats, result
-/// vector and every traced event must match the unwrapped `SharedMemory`
-/// path bit-for-bit, under both fabric schedulers.
+/// The DRAM path's safety net: with every effect unable to bind (zero row
+/// extras, a window no tile can fill, no budget) the general DRAM-class
+/// path of `SharedMemory` must be observationally the default flat path.
+/// Result vector, cycles, per-tile stats, every shared-memory counter but
+/// the row hit/miss counts, and every traced event off the mem-queue track
+/// must match bit-for-bit under both schedulers — and the DRAM path must
+/// really have run (row misses counted).
 fn assert_flat_dram_matches_shared(
     base: SystemConfig,
     kernel: usize,
@@ -626,25 +628,35 @@ fn assert_flat_dram_matches_shared(
     seed: u64,
 ) {
     use hht::mem::DramConfig;
+    use hht::obs::Track;
+    let unbound = DramConfig::flat().with_window(u32::MAX);
     for scheduler in [Scheduler::EventQueue, Scheduler::PerCycle] {
         let cfg = base.with_scheduler(scheduler).with_trace(TraceConfig::enabled());
-        let shared = run_fabric_kernel(&cfg, kernel, tiles, n, s, seed, None);
-        let dram =
-            run_fabric_kernel(&cfg.with_dram(DramConfig::flat()), kernel, tiles, n, s, seed, None);
+        let flat = run_fabric_kernel(&cfg, kernel, tiles, n, s, seed, None);
+        let dram = run_fabric_kernel(&cfg.with_dram(unbound), kernel, tiles, n, s, seed, None);
         let ctx = format!("kernel {kernel} tiles={tiles} n={n} s={s} {scheduler:?}");
-        assert_eq!(dram.stats, shared.stats, "{ctx}");
-        assert_eq!(dram.y, shared.y, "{ctx}");
-        assert_eq!(dram.tile_events, shared.tile_events, "{ctx}");
+        assert_eq!(dram.y, flat.y, "{ctx}");
+        assert_eq!(dram.stats.cycles, flat.stats.cycles, "{ctx}");
+        assert_eq!(dram.stats.tiles, flat.stats.tiles, "{ctx}");
+        let mem = dram.stats.mem;
+        assert!(mem.row_misses > 0, "{ctx}: the DRAM path never ran");
+        assert_eq!(flat.stats.mem, hht::mem::SharedMemStats { row_hits: 0, row_misses: 0, ..mem });
+        let off_queue: Vec<Vec<_>> = dram
+            .tile_events
+            .iter()
+            .map(|ev| ev.iter().copied().filter(|e| e.track != Track::MemQueue).collect())
+            .collect();
+        assert_eq!(off_queue, flat.tile_events, "{ctx}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The differential property behind the DRAM backend: a zero-latency,
-    /// unlimited-window, unlimited-bandwidth `Dram` is bit-identical to the
-    /// seed `SharedMemory` across random fabric kernels × tile counts ×
-    /// sparsities, under both schedulers.
+    /// The differential property behind the DRAM path: its general
+    /// row/window/budget logic with every effect unable to bind is
+    /// bit-identical to the default flat path across random fabric
+    /// kernels × tile counts × sparsities, under both schedulers.
     #[test]
     fn flat_dram_is_bit_identical_to_shared_memory(
         kernel in 0usize..3,

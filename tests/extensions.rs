@@ -101,21 +101,27 @@ fn l1d_composes_over_dram_backend() {
 
 #[test]
 fn l1d_over_flat_dram_is_bit_identical_to_l1d_over_shared() {
-    // Composability corollary of the flat-Dram differential: inserting a
-    // zero-effect DRAM stage under the cache must be observationally
-    // invisible, burst line fills included.
+    // Composability corollary of the flat-vs-DRAM-path differential: under
+    // the cache, the general DRAM path with every effect unable to bind
+    // must be observationally the flat path, burst line fills included.
     use hht::mem::DramConfig;
     let cached = SystemConfig::paper_default()
         .with_ram_word_cycles(4)
         .with_l1d(CacheGeometry::embedded_4k());
     let m = generate::random_csr(64, 64, 0.5, 23);
     let v = generate::random_dense_vector(64, 24);
-    let shared = runner::run(&cached, &Job::new(Kernel::SpmvBaseline, &m, &v)).unwrap();
-    let flat =
-        runner::run(&cached.with_dram(DramConfig::flat()), &Job::new(Kernel::SpmvBaseline, &m, &v))
-            .unwrap();
-    assert_eq!(shared.stats, flat.stats);
-    assert_eq!(shared.y, flat.y);
+    let job = Job::new(Kernel::SpmvBaseline, &m, &v);
+    let flat = runner::run(&cached, &job).unwrap();
+    let unbound = cached.with_dram(DramConfig::flat().with_window(u32::MAX));
+    let dram = runner::run(&unbound, &job).unwrap();
+    assert_eq!(flat.stats, dram.stats);
+    assert_eq!(flat.y, dram.y);
+    // The runner reports no shared-memory counters; read the row misses off
+    // the same single-tile system directly.
+    let (sram, program, _) = job.image(&unbound).unwrap();
+    let mut sys = hht::system::System::new(&unbound, program, sram);
+    assert_eq!(sys.run().unwrap(), dram.stats);
+    assert!(sys.mem().shared_stats().row_misses > 0, "the DRAM path never ran");
 }
 
 #[test]
