@@ -110,13 +110,15 @@ pub enum Wake {
     Never,
 }
 
-/// A back-end engine: stepped once per cycle while running.
+/// A back-end engine: stepped once per cycle while running. The port is a
+/// type parameter, so a step against the fabric's port compiles to direct
+/// calls (the HHT holds its engine as an enum, not a trait object).
 pub trait Engine {
     /// Advance one cycle. `now` is the global cycle count.
-    fn step(
+    fn step<P: MemoryPort + ?Sized>(
         &mut self,
         now: u64,
-        sram: &mut dyn MemoryPort,
+        sram: &mut P,
         out: Outputs<'_>,
         stats: &mut EngineStats,
     );
@@ -167,8 +169,9 @@ struct Pending {
 /// captured functionally at issue and becomes architecturally visible at
 /// the response cycle. Out-of-range addresses (software programmed a bad
 /// base into an MMR) read open-bus zero instead of crashing the simulator.
-fn issue_read(
-    sram: &mut dyn MemoryPort,
+#[inline]
+fn issue_read<P: MemoryPort + ?Sized>(
+    sram: &mut P,
     now: u64,
     addr: u32,
     stats: &mut EngineStats,
@@ -228,10 +231,10 @@ impl GatherEngine {
 }
 
 impl Engine for GatherEngine {
-    fn step(
+    fn step<P: MemoryPort + ?Sized>(
         &mut self,
         now: u64,
-        sram: &mut dyn MemoryPort,
+        sram: &mut P,
         out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {
@@ -457,10 +460,10 @@ impl SpMSpVEngine {
 }
 
 impl Engine for SpMSpVEngine {
-    fn step(
+    fn step<P: MemoryPort + ?Sized>(
         &mut self,
         now: u64,
-        sram: &mut dyn MemoryPort,
+        sram: &mut P,
         out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {
@@ -799,10 +802,10 @@ impl SmashEngine {
 }
 
 impl Engine for SmashEngine {
-    fn step(
+    fn step<P: MemoryPort + ?Sized>(
         &mut self,
         now: u64,
-        sram: &mut dyn MemoryPort,
+        sram: &mut P,
         mut out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {
@@ -987,8 +990,8 @@ mod tests {
 
     /// Drive an engine against a prepared SRAM until done (or a cycle
     /// budget runs out), draining outputs every cycle.
-    fn run_engine(
-        engine: &mut dyn Engine,
+    fn run_engine<E: Engine>(
+        engine: &mut E,
         sram: &mut dyn MemoryPort,
         budget: u64,
     ) -> (Vec<u32>, Vec<u32>, Vec<u32>, EngineStats) {

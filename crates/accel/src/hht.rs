@@ -13,6 +13,7 @@ use crate::engine::{
 };
 use crate::fifo::ElemFifo;
 use crate::mmr::{reg, Mode, RegisterFile};
+use crate::programmable::ProgrammableEngine;
 use hht_mem::map;
 use hht_mem::mmio::{MmioDevice, MmioReadResult};
 use hht_mem::sram::Requester;
@@ -73,6 +74,56 @@ pub struct HhtStats {
     pub decode_errors: u64,
 }
 
+/// The running back-end: one variant per engine type, so stepping it is a
+/// `match` to a direct call rather than a virtual call. The helper-core
+/// engine is boxed: it carries a whole [`hht_sim::Core`].
+#[derive(Debug)]
+enum BackEnd {
+    Gather(GatherEngine),
+    SpMSpV(SpMSpVEngine),
+    Smash(SmashEngine),
+    Programmable(Box<ProgrammableEngine>),
+}
+
+/// Forward one [`Engine`] call to whichever engine is running.
+macro_rules! dispatch {
+    ($backend:expr, $e:ident => $call:expr) => {
+        match $backend {
+            BackEnd::Gather($e) => $call,
+            BackEnd::SpMSpV($e) => $call,
+            BackEnd::Smash($e) => $call,
+            BackEnd::Programmable($e) => $call,
+        }
+    };
+}
+
+impl Engine for BackEnd {
+    #[inline]
+    fn step<P: MemoryPort + ?Sized>(
+        &mut self,
+        now: u64,
+        sram: &mut P,
+        out: Outputs<'_>,
+        stats: &mut EngineStats,
+    ) {
+        dispatch!(self, e => e.step(now, sram, out, stats))
+    }
+
+    #[inline]
+    fn done(&self) -> bool {
+        dispatch!(self, e => e.done())
+    }
+
+    #[inline]
+    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
+        dispatch!(self, e => e.wake(now, out))
+    }
+
+    fn replay_inert(&self, now: u64, span: u64, out: OutputLevels, stats: &mut EngineStats) {
+        dispatch!(self, e => e.replay_inert(now, span, out, stats))
+    }
+}
+
 /// The Hardware Helper Thread.
 pub struct Hht {
     params: HhtParams,
@@ -80,7 +131,7 @@ pub struct Hht {
     primary: ElemFifo,
     secondary: ElemFifo,
     counts: ElemFifo,
-    engine: Option<Box<dyn Engine + Send>>,
+    engine: Option<BackEnd>,
     engine_done: bool,
     stats: HhtStats,
     obs: Option<Box<EventBus>>,
@@ -186,7 +237,8 @@ impl Hht {
 
     /// Step the back-end one cycle (called by the system *after* the CPU's
     /// step so the CPU wins SRAM-port arbitration).
-    pub fn step(&mut self, now: u64, sram: &mut dyn MemoryPort) {
+    #[inline]
+    pub fn step<P: MemoryPort + ?Sized>(&mut self, now: u64, sram: &mut P) {
         if let Some(engine) = self.engine.as_mut() {
             if !self.engine_done {
                 if now < self.frozen_until {
@@ -326,7 +378,7 @@ impl Hht {
     /// *onset* of an output-full stall — the per-cycle loop stamps
     /// `StallBegin` on the first blocked cycle, so replay it here at `now`
     /// when the interval is not already open.
-    pub fn skip_idle(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
+    pub fn skip_idle<P: MemoryPort + ?Sized>(&mut self, now: u64, span: u64, sram: &mut P) {
         if span == 0 || self.engine_done {
             return;
         }
@@ -491,16 +543,17 @@ impl Hht {
         self.counts.clear();
         self.engine_done = false;
         self.cached_wake = None;
+        let blen = self.params.blen;
         self.engine = Some(match cfg.mode {
-            Mode::SpMV => Box::new(GatherEngine::new(cfg, self.params.blen)),
+            Mode::SpMV => BackEnd::Gather(GatherEngine::new(cfg, blen)),
             Mode::SpMSpVAligned => {
-                Box::new(SpMSpVEngine::new(cfg, SpMSpVVariant::Aligned, self.params.blen))
+                BackEnd::SpMSpV(SpMSpVEngine::new(cfg, SpMSpVVariant::Aligned, blen))
             }
             Mode::SpMSpVValueOrZero => {
-                Box::new(SpMSpVEngine::new(cfg, SpMSpVVariant::ValueOrZero, self.params.blen))
+                BackEnd::SpMSpV(SpMSpVEngine::new(cfg, SpMSpVVariant::ValueOrZero, blen))
             }
-            Mode::Smash => Box::new(SmashEngine::new(cfg, self.params.blen)),
-            Mode::ProgrammableSpMV => Box::new(crate::programmable::ProgrammableEngine::new(cfg)),
+            Mode::Smash => BackEnd::Smash(SmashEngine::new(cfg, blen)),
+            Mode::ProgrammableSpMV => BackEnd::Programmable(Box::new(ProgrammableEngine::new(cfg))),
         });
         // A trivially empty operation may be done before its first step.
         if self.engine.as_ref().map(|e| e.done()).unwrap_or(false) {

@@ -123,10 +123,10 @@ impl ProgrammableEngine {
 }
 
 impl Engine for ProgrammableEngine {
-    fn step(
+    fn step<P: MemoryPort + ?Sized>(
         &mut self,
         now: u64,
-        sram: &mut dyn MemoryPort,
+        sram: &mut P,
         out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {

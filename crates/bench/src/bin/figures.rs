@@ -348,7 +348,7 @@ fn fabric_throughput_entry(
         let t0 = Instant::now();
         let stats = fabric.run().expect("the pinned fabric SpMV completes");
         let secs = t0.elapsed().as_secs_f64();
-        (stats, fabric.tile_sched_stats().to_vec(), secs)
+        (stats, fabric.tile_sched_stats(), secs)
     };
     let mut pairs = Vec::new();
     let mut eq = None;

@@ -202,11 +202,13 @@ impl SharedMemory {
     }
 
     /// Size in bytes.
+    #[inline]
     pub fn size(&self) -> u32 {
         self.data.len() as u32
     }
 
     /// Cycles one word access occupies a bank.
+    #[inline]
     pub fn word_cycles(&self) -> u64 {
         self.word_cycles
     }
@@ -247,6 +249,7 @@ impl SharedMemory {
     /// a bank), the bank, and the cycle's grant budget; a grant then pays
     /// the row hit or miss extra as response latency on top of the flat
     /// port cost, while the bank frees at the flat cost.
+    #[inline]
     pub fn request_burst_for(
         &mut self,
         tile: usize,
@@ -365,8 +368,11 @@ impl SharedMemory {
         }
     }
 
+    #[inline]
     fn bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) / BANK_WORDS) as usize % self.banks.len()
+        // 32-bit remainder: the granule index fits, and it divides faster
+        // than a `usize` one on every request.
+        ((addr >> 2) / BANK_WORDS % self.banks.len() as u32) as usize
     }
 
     fn window_full(&self, tile: usize, now: u64) -> bool {
@@ -381,6 +387,7 @@ impl SharedMemory {
     }
 
     /// Emit one event on `tile`'s bus (no-op without a sink).
+    #[inline]
     fn emit(&mut self, tile: usize, now: u64, track: Track, kind: EventKind) {
         if let Some(bus) = self.obs[tile].as_mut() {
             bus.emit(now, track, kind);
@@ -441,6 +448,7 @@ impl SharedMemory {
     }
 
     /// Charge one lost bank arbitration to `tile`/`who`.
+    #[inline]
     fn reject(&mut self, tile: usize, now: u64, bank: usize, who: Requester) {
         self.tile_stats[tile].conflicts += 1;
         self.stats.conflicts += 1;
@@ -459,6 +467,7 @@ impl SharedMemory {
 
     /// Grant `bank` to `tile`/`who` for `words` words; returns the cycle
     /// the bank frees (the flat response cycle).
+    #[inline]
     fn grant(&mut self, tile: usize, now: u64, bank: usize, who: Requester, words: u64) -> u64 {
         let cost = self.word_cycles + words.max(1) - 1;
         self.banks[bank] = Bank { free_at: now + cost, holder: tile };
@@ -474,34 +483,40 @@ impl SharedMemory {
     // ---- functional storage (mirrors `Sram`) ----
 
     /// Read one byte.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
         self.data[addr as usize]
     }
 
     /// Write one byte.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         self.data[addr as usize] = value;
     }
 
     /// Read a little-endian 16-bit halfword.
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> u16 {
         let a = addr as usize;
         u16::from_le_bytes(self.data[a..a + 2].try_into().expect("in-range read"))
     }
 
     /// Write a little-endian 16-bit halfword.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16) {
         let a = addr as usize;
         self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Read a little-endian 32-bit word (panics out of range).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
         let a = addr as usize;
         u32::from_le_bytes(self.data[a..a + 4].try_into().expect("in-range read"))
     }
 
     /// Read a little-endian 32-bit word, or `None` out of range.
+    #[inline]
     pub fn read_u32_checked(&self, addr: u32) -> Option<u32> {
         let a = addr as usize;
         let end = a.checked_add(4)?;
@@ -510,6 +525,7 @@ impl SharedMemory {
     }
 
     /// Write a little-endian 32-bit word.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         let a = addr as usize;
         self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
@@ -543,8 +559,9 @@ impl SharedMemory {
     }
 }
 
-/// One tile's view of the [`SharedMemory`]: the `&mut dyn MemoryPort` the
-/// tile's core and HHT hold for the current cycle.
+/// One tile's view of the [`SharedMemory`]: the [`MemoryPort`] the tile's
+/// core and HHT are stepped with for the current cycle. The components are
+/// generic over the port, so these calls compile to direct (inlined) ones.
 ///
 /// The port also remembers how its traffic went — the latest response
 /// cycle it granted ([`FabricPort::lands_at`]) and whether it refused a
@@ -559,27 +576,32 @@ pub struct FabricPort<'a> {
 
 impl<'a> FabricPort<'a> {
     /// Borrow `mem` as tile `tile`'s port.
+    #[inline]
     pub fn new(mem: &'a mut SharedMemory, tile: usize) -> Self {
         FabricPort { mem, tile, lands_at: 0, refused: false }
     }
 
     /// Latest response cycle of the requests this port granted (0 when it
     /// granted none).
+    #[inline]
     pub fn lands_at(&self) -> u64 {
         self.lands_at
     }
 
     /// True when this port refused at least one request.
+    #[inline]
     pub fn refused(&self) -> bool {
         self.refused
     }
 }
 
 impl MemoryPort for FabricPort<'_> {
+    #[inline]
     fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
         self.request_burst(now, addr, who, 1)
     }
 
+    #[inline]
     fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
         let issue = self.mem.request_burst_for(self.tile, now, addr, who, words);
         match issue {
@@ -589,42 +611,52 @@ impl MemoryPort for FabricPort<'_> {
         issue
     }
 
+    #[inline]
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
         self.mem.skip_conflicts_for(self.tile, now, span, addr, who)
     }
 
+    #[inline]
     fn size(&self) -> u32 {
         self.mem.size()
     }
 
+    #[inline]
     fn word_cycles(&self) -> u64 {
         self.mem.word_cycles()
     }
 
+    #[inline]
     fn read_u8(&self, addr: u32) -> u8 {
         self.mem.read_u8(addr)
     }
 
+    #[inline]
     fn read_u16(&self, addr: u32) -> u16 {
         self.mem.read_u16(addr)
     }
 
+    #[inline]
     fn read_u32(&self, addr: u32) -> u32 {
         self.mem.read_u32(addr)
     }
 
+    #[inline]
     fn read_u32_checked(&self, addr: u32) -> Option<u32> {
         self.mem.read_u32_checked(addr)
     }
 
+    #[inline]
     fn write_u8(&mut self, addr: u32, value: u8) {
         self.mem.write_u8(addr, value)
     }
 
+    #[inline]
     fn write_u16(&mut self, addr: u32, value: u16) {
         self.mem.write_u16(addr, value)
     }
 
+    #[inline]
     fn write_u32(&mut self, addr: u32, value: u32) {
         self.mem.write_u32(addr, value)
     }

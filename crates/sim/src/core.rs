@@ -134,6 +134,32 @@ pub struct TraceEntry {
     pub instr: Instr,
 }
 
+/// Where a memory instruction's beat addresses come from.
+#[derive(Debug, Clone, Copy)]
+enum Addrs {
+    /// One access of `width` (sign-extended when `signed`).
+    Scalar { addr: u32, width: MemWidth, signed: bool },
+    /// `vl` consecutive words from a base (unit-stride vector access).
+    Unit(u32),
+    /// `vl` words at a base plus the byte offsets held in a vector
+    /// register (indexed gather).
+    Indexed(u32, VReg),
+}
+
+/// What a memory instruction does with its beats.
+#[derive(Debug, Clone, Copy)]
+enum Transfer {
+    /// Load into a register.
+    Load(Dest),
+    /// Store one scalar value.
+    StoreScalar(u32),
+    /// Store the first `vl` elements of a vector register.
+    StoreVector(VReg),
+}
+
+/// The memory instruction in flight: its beats, the next one to issue and
+/// the words loaded so far. The buffers belong to the [`Core`] and are
+/// reused by every memory instruction, so issuing one allocates nothing.
 #[derive(Debug)]
 struct MemOp {
     beats: Vec<Beat>,
@@ -142,6 +168,26 @@ struct MemOp {
     dest: Dest,
     /// Extra cycles added after every beat (gather address generation).
     extra_per_beat: u64,
+}
+
+impl MemOp {
+    /// Empty buffers sized for the widest (`vlen`-beat) instruction.
+    fn with_capacity(vlen: usize) -> Self {
+        MemOp {
+            beats: Vec::with_capacity(vlen),
+            next: 0,
+            collected: Vec::with_capacity(vlen),
+            dest: Dest::None,
+            extra_per_beat: 0,
+        }
+    }
+
+    /// The beat to issue next; `None` when no memory instruction is in
+    /// flight.
+    #[inline]
+    fn pending(&self) -> Option<&Beat> {
+        self.beats.get(self.next)
+    }
 }
 
 /// The simulated core. Stepped once per cycle by the system harness; the
@@ -157,7 +203,7 @@ pub struct Core {
     v: Vec<Vec<u32>>,
     vl: usize,
     busy_until: u64,
-    mem_op: Option<MemOp>,
+    mem_op: MemOp,
     halted: bool,
     error: Option<RunError>,
     stats: CoreStats,
@@ -200,7 +246,7 @@ impl Core {
             v: vec![vec![0; cfg.vlen]; 32],
             vl: cfg.vlen,
             busy_until: 0,
-            mem_op: None,
+            mem_op: MemOp::with_capacity(cfg.vlen),
             halted: false,
             error: None,
             stats: CoreStats::default(),
@@ -311,8 +357,7 @@ impl Core {
         if self.halted || self.busy_until > now {
             return None;
         }
-        let op = self.mem_op.as_ref()?;
-        let beat = op.beats.get(op.next)?;
+        let beat = self.mem_op.pending()?;
         match beat.access {
             BeatAccess::DevRead if map::is_hht_buffer(beat.addr) => Some(beat.addr),
             _ => None,
@@ -370,8 +415,7 @@ impl Core {
         if self.halted || self.busy_until > now {
             return None;
         }
-        let op = self.mem_op.as_ref()?;
-        let beat = op.beats.get(op.next)?;
+        let beat = self.mem_op.pending()?;
         match beat.access {
             BeatAccess::RamRead => {
                 self.l1d.as_ref().is_none_or(|c| !c.probe(beat.addr)).then_some(beat.addr)
@@ -387,7 +431,7 @@ impl Core {
     /// `ArbitrationLoss` bucket and one port conflict on the SRAM side,
     /// exactly as the per-cycle retry path does. The stall interval opens
     /// at `now` (a no-op when the first failing attempt already opened it).
-    pub fn skip_port_wait(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
+    pub fn skip_port_wait<P: MemoryPort + ?Sized>(&mut self, now: u64, span: u64, sram: &mut P) {
         let who = if self.cfg.is_helper { Requester::Hht } else { Requester::Cpu };
         let addr = self.pending_port_addr(now).unwrap_or(0);
         self.stats.mem_port_stall_cycles += span;
@@ -504,25 +548,33 @@ impl Core {
     }
 
     /// Advance the core by one cycle.
-    pub fn step(&mut self, now: u64, sram: &mut dyn MemoryPort, dev: &mut dyn MmioDevice) {
+    #[inline]
+    pub fn step<P, D>(&mut self, now: u64, sram: &mut P, dev: &mut D)
+    where
+        P: MemoryPort + ?Sized,
+        D: MmioDevice + ?Sized,
+    {
         if self.halted || now < self.busy_until {
             return;
         }
-        if self.mem_op.is_some() {
-            self.step_mem_beat(now, sram, dev);
+        if let Some(&beat) = self.mem_op.pending() {
+            self.step_mem_beat(now, beat, sram, dev);
             return;
         }
         let Some(instr) = self.program.fetch(self.pc) else {
             self.fault(RunError::InvalidPc(self.pc));
             return;
         };
-        self.execute(instr, now, sram);
+        self.execute(instr, now, sram.size());
     }
 
-    fn step_mem_beat(&mut self, now: u64, sram: &mut dyn MemoryPort, dev: &mut dyn MmioDevice) {
+    fn step_mem_beat<P, D>(&mut self, now: u64, beat: Beat, sram: &mut P, dev: &mut D)
+    where
+        P: MemoryPort + ?Sized,
+        D: MmioDevice + ?Sized,
+    {
         let who = if self.cfg.is_helper { Requester::Hht } else { Requester::Cpu };
-        let op = self.mem_op.as_mut().expect("checked by caller");
-        let beat = op.beats[op.next];
+        let op = &mut self.mem_op;
         match beat.access {
             BeatAccess::RamRead => {
                 // With an L1D (§3.2 high-performance integration): hits are
@@ -731,103 +783,77 @@ impl Core {
         }
     }
 
+    /// Retire the completed memory instruction: write its loaded words to
+    /// the destination and empty the buffers for the next one.
     fn finish_mem_op(&mut self) {
-        let Some(op) = self.mem_op.take() else { return };
-        if op.next < op.beats.len() {
-            // Not actually finished (defensive; callers check first).
-            self.mem_op = Some(op);
-            return;
-        }
+        let op = &mut self.mem_op;
+        debug_assert_eq!(op.next, op.beats.len(), "finished with beats left");
         match op.dest {
-            Dest::X(r) => self.write_x(r, op.collected[0]),
+            Dest::X(r) if r.index() != 0 => self.x[r.index()] = op.collected[0],
             Dest::F(r) => self.f[r.index()] = op.collected[0],
-            Dest::V(r) => {
-                for (i, w) in op.collected.iter().enumerate() {
-                    self.v[r.index()][i] = *w;
-                }
-            }
-            Dest::None => {}
+            Dest::V(r) => self.v[r.index()][..op.collected.len()].copy_from_slice(&op.collected),
+            Dest::X(_) | Dest::None => {}
         }
+        op.beats.clear();
+        op.collected.clear();
+        op.next = 0;
     }
 
-    /// Classify an address; `None` for unmapped or misaligned.
-    fn classify(&self, sram: &dyn MemoryPort, addr: u32, width: MemWidth) -> Option<bool> {
-        if !addr.is_multiple_of(width.bytes()) {
-            return None;
-        }
-        if map::is_ram(addr, sram.size()) {
-            return Some(true);
-        }
-        // Devices are word-access only.
-        if width == MemWidth::Word && (map::is_hht_mmr(addr) || map::is_hht_buffer(addr)) {
-            return Some(false);
-        }
-        None
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_mem_op(
-        &mut self,
-        now: u64,
-        sram: &dyn MemoryPort,
-        addrs: Vec<u32>,
-        write_values: Option<Vec<u32>>,
-        dest: Dest,
-        issue_cycles: u64,
-        extra_per_beat: u64,
-    ) {
-        self.start_mem_op_sized(
-            now,
-            sram,
-            addrs,
-            write_values,
-            dest,
-            issue_cycles,
-            extra_per_beat,
-            MemWidth::Word,
-            false,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_mem_op_sized(
-        &mut self,
-        now: u64,
-        sram: &dyn MemoryPort,
-        addrs: Vec<u32>,
-        write_values: Option<Vec<u32>>,
-        dest: Dest,
-        issue_cycles: u64,
-        extra_per_beat: u64,
-        width: MemWidth,
-        signed: bool,
-    ) {
-        let mut beats = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let Some(is_ram) = self.classify(sram, *addr, width) else {
-                self.fault(RunError::MemFault(*addr));
+    /// Decode a memory instruction into beats (in the core's reused
+    /// buffers) and occupy the pipe for its issue cycles. Vector accesses
+    /// pay `vector_issue_cycles`; a gather adds its fixed set-up plus
+    /// `gather_addr_cycles` after every beat. A beat that is misaligned or
+    /// maps to neither RAM nor a device window faults the core.
+    fn start_mem_op(&mut self, now: u64, ram_size: u32, addrs: Addrs, xfer: Transfer) {
+        let cfg = self.cfg;
+        let (beats, width, signed, issue_cycles, extra_per_beat) = match addrs {
+            Addrs::Scalar { width, signed, .. } => (1, width, signed, 0, 0),
+            Addrs::Unit(_) => (self.vl, MemWidth::Word, false, cfg.vector_issue_cycles, 0),
+            Addrs::Indexed(..) => (
+                self.vl,
+                MemWidth::Word,
+                false,
+                cfg.vector_issue_cycles + cfg.gather_issue_cycles,
+                cfg.gather_addr_cycles,
+            ),
+        };
+        let op = &mut self.mem_op;
+        for i in 0..beats {
+            let addr = match addrs {
+                Addrs::Scalar { addr, .. } => addr,
+                Addrs::Unit(base) => base.wrapping_add(4 * i as u32),
+                Addrs::Indexed(base, vs2) => base.wrapping_add(self.v[vs2.index()][i]),
+            };
+            let Some(is_ram) = classify(ram_size, addr, width) else {
+                op.beats.clear();
+                self.fault(RunError::MemFault(addr));
                 return;
             };
-            let access = match (&write_values, is_ram) {
+            let store = match xfer {
+                Transfer::Load(_) => None,
+                Transfer::StoreScalar(v) => Some(v),
+                Transfer::StoreVector(vs3) => Some(self.v[vs3.index()][i]),
+            };
+            let access = match (store, is_ram) {
                 (None, true) => BeatAccess::RamRead,
                 (None, false) => BeatAccess::DevRead,
-                (Some(vs), true) => BeatAccess::RamWrite(vs[i]),
-                (Some(vs), false) => BeatAccess::DevWrite(vs[i]),
+                (Some(v), true) => BeatAccess::RamWrite(v),
+                (Some(v), false) => BeatAccess::DevWrite(v),
             };
-            beats.push(Beat { addr: *addr, access, width, signed });
+            op.beats.push(Beat { addr, access, width, signed });
         }
-        if write_values.is_some() {
-            self.stats.stores += 1;
-        } else {
+        op.extra_per_beat = extra_per_beat;
+        if let Transfer::Load(dest) = xfer {
+            op.dest = dest;
             self.stats.loads += 1;
+        } else {
+            op.dest = Dest::None;
+            self.stats.stores += 1;
         }
-        let n = beats.len();
-        self.mem_op =
-            Some(MemOp { beats, next: 0, collected: Vec::with_capacity(n), dest, extra_per_beat });
         self.set_busy(now, issue_cycles);
     }
 
-    fn execute(&mut self, instr: Instr, now: u64, sram: &dyn MemoryPort) {
+    fn execute(&mut self, instr: Instr, now: u64, ram_size: u32) {
         use Instr::*;
         self.stats.instructions += 1;
         if let Some(trace) = self.trace.as_mut() {
@@ -880,22 +906,22 @@ impl Core {
                 }
             }
             Lw { rd, rs1, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, vec![addr], None, Dest::X(rd), 0, 0);
+                let addrs = word(self.read_x(rs1).wrapping_add(offset as u32));
+                self.start_mem_op(now, ram_size, addrs, Transfer::Load(Dest::X(rd)));
             }
             Sw { rs1, rs2, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
+                let addrs = word(self.read_x(rs1).wrapping_add(offset as u32));
                 let v = self.read_x(rs2);
-                self.start_mem_op(now, sram, vec![addr], Some(vec![v]), Dest::None, 0, 0);
+                self.start_mem_op(now, ram_size, addrs, Transfer::StoreScalar(v));
             }
             Flw { rd, rs1, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, vec![addr], None, Dest::F(rd), 0, 0);
+                let addrs = word(self.read_x(rs1).wrapping_add(offset as u32));
+                self.start_mem_op(now, ram_size, addrs, Transfer::Load(Dest::F(rd)));
             }
             Fsw { rs1, rs2, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
+                let addrs = word(self.read_x(rs1).wrapping_add(offset as u32));
                 let v = self.f[rs2.index()];
-                self.start_mem_op(now, sram, vec![addr], Some(vec![v]), Dest::None, 0, 0);
+                self.start_mem_op(now, ram_size, addrs, Transfer::StoreScalar(v));
             }
             OpImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.read_x(rs1), imm as u32);
@@ -928,32 +954,14 @@ impl Core {
             }
             LoadNarrow { rd, rs1, offset, width, signed } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op_sized(
-                    now,
-                    sram,
-                    vec![addr],
-                    None,
-                    Dest::X(rd),
-                    0,
-                    0,
-                    width,
-                    signed,
-                );
+                let addrs = Addrs::Scalar { addr, width, signed };
+                self.start_mem_op(now, ram_size, addrs, Transfer::Load(Dest::X(rd)));
             }
             StoreNarrow { rs1, rs2, offset, width } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
+                let addrs = Addrs::Scalar { addr, width, signed: false };
                 let v = self.read_x(rs2);
-                self.start_mem_op_sized(
-                    now,
-                    sram,
-                    vec![addr],
-                    Some(vec![v]),
-                    Dest::None,
-                    0,
-                    0,
-                    width,
-                    false,
-                );
+                self.start_mem_op(now, ram_size, addrs, Transfer::StoreScalar(v));
             }
             FaddS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) + self.read_f(rs2);
@@ -991,38 +999,16 @@ impl Core {
                 self.set_busy(now, cfg.alu_cycles);
             }
             Vle32 { vd, rs1 } => {
-                let base = self.read_x(rs1);
-                let addrs = (0..self.vl).map(|i| base.wrapping_add(4 * i as u32)).collect();
-                self.start_mem_op(now, sram, addrs, None, Dest::V(vd), cfg.vector_issue_cycles, 0);
+                let addrs = Addrs::Unit(self.read_x(rs1));
+                self.start_mem_op(now, ram_size, addrs, Transfer::Load(Dest::V(vd)));
             }
             Vse32 { vs3, rs1 } => {
-                let base = self.read_x(rs1);
-                let addrs: Vec<u32> =
-                    (0..self.vl).map(|i| base.wrapping_add(4 * i as u32)).collect();
-                let vals = self.v[vs3.index()][..self.vl].to_vec();
-                self.start_mem_op(
-                    now,
-                    sram,
-                    addrs,
-                    Some(vals),
-                    Dest::None,
-                    cfg.vector_issue_cycles,
-                    0,
-                );
+                let addrs = Addrs::Unit(self.read_x(rs1));
+                self.start_mem_op(now, ram_size, addrs, Transfer::StoreVector(vs3));
             }
             Vluxei32 { vd, rs1, vs2 } => {
-                let base = self.read_x(rs1);
-                let addrs =
-                    (0..self.vl).map(|i| base.wrapping_add(self.v[vs2.index()][i])).collect();
-                self.start_mem_op(
-                    now,
-                    sram,
-                    addrs,
-                    None,
-                    Dest::V(vd),
-                    cfg.vector_issue_cycles + cfg.gather_issue_cycles,
-                    cfg.gather_addr_cycles,
-                );
+                let addrs = Addrs::Indexed(self.read_x(rs1), vs2);
+                self.start_mem_op(now, ram_size, addrs, Transfer::Load(Dest::V(vd)));
             }
             VfmaccVV { vd, vs1, vs2 } => {
                 for i in 0..self.vl {
@@ -1106,8 +1092,30 @@ impl Core {
     }
 }
 
+/// One word-wide scalar access.
+fn word(addr: u32) -> Addrs {
+    Addrs::Scalar { addr, width: MemWidth::Word, signed: false }
+}
+
+/// Classify an address: `Some(true)` for RAM, `Some(false)` for a device
+/// window, `None` for unmapped or misaligned.
+fn classify(ram_size: u32, addr: u32, width: MemWidth) -> Option<bool> {
+    if !addr.is_multiple_of(width.bytes()) {
+        return None;
+    }
+    if map::is_ram(addr, ram_size) {
+        return Some(true);
+    }
+    // Devices are word-access only.
+    if width == MemWidth::Word && (map::is_hht_mmr(addr) || map::is_hht_buffer(addr)) {
+        return Some(false);
+    }
+    None
+}
+
 /// Width- and sign-aware functional read for one beat.
-fn read_sized(sram: &dyn MemoryPort, beat: Beat) -> u32 {
+#[inline]
+fn read_sized<P: MemoryPort + ?Sized>(sram: &P, beat: Beat) -> u32 {
     match (beat.width, beat.signed) {
         (MemWidth::Word, _) => sram.read_u32(beat.addr),
         (MemWidth::Byte, false) => sram.read_u8(beat.addr) as u32,
@@ -1118,7 +1126,8 @@ fn read_sized(sram: &dyn MemoryPort, beat: Beat) -> u32 {
 }
 
 /// Width-aware functional write for one beat.
-fn write_sized(sram: &mut dyn MemoryPort, beat: Beat, v: u32) {
+#[inline]
+fn write_sized<P: MemoryPort + ?Sized>(sram: &mut P, beat: Beat, v: u32) {
     match beat.width {
         MemWidth::Word => sram.write_u32(beat.addr, v),
         MemWidth::Byte => sram.write_u8(beat.addr, v as u8),
@@ -1261,6 +1270,21 @@ mod tests {
         assert_eq!(core.read_x(Reg::t(0)), 8);
         let out = sram.read_f32s(0x300, 8);
         assert_eq!(out, vec![10., 40., 90., 160., 250., 360., 490., 640.]);
+    }
+
+    #[test]
+    fn vector_memory_ops_at_vl_zero_touch_nothing() {
+        let mut sram = Sram::new(1024, 2);
+        sram.write_u32(0x100, 7);
+        let (core, _) = run(
+            "li a0, 0\nvsetvli t0, a0, e32, m1\nli a1, 0x100\nvle32.v v1, (a1)\n\
+             vse32.v v2, (a1)\nli a2, 0x200\nvluxei32.v v3, (a2), v1\nebreak",
+            &mut sram,
+        );
+        assert!(core.error().is_none());
+        assert_eq!(core.read_x(Reg::t(0)), 0);
+        assert_eq!((core.stats().loads, core.stats().stores, core.stats().mem_beats), (2, 1, 0));
+        assert_eq!(sram.read_u32(0x100), 7);
     }
 
     #[test]

@@ -199,6 +199,8 @@ struct Tile {
     done_at: Option<u64>,
     /// The event queue's probe schedule for this tile.
     probe: Probe,
+    /// Host-side scheduler accounting for this tile.
+    sched: TileSchedStats,
 }
 
 /// Per-tile failure record of one fabric run: every tile that ended the
@@ -455,8 +457,6 @@ pub struct Fabric {
     fault_plan: Option<FaultPlan>,
     /// Host-side scheduler accounting (stepped vs skipped cycles).
     sched: SchedStats,
-    /// Host-side per-tile scheduler accounting (steps, probes, parks).
-    tile_sched: Vec<TileSchedStats>,
     /// Clock jumps (cycles on which no tile stepped), recorded only when
     /// event tracing is on (the Chrome exporter renders them as a
     /// scheduler lane). Kept off the per-tile buses so event streams stay
@@ -548,6 +548,7 @@ impl Fabric {
                 fatal: false,
                 done_at: None,
                 probe: Probe::new(0),
+                sched: TileSchedStats::default(),
             });
         }
         let plan = FaultPlan::from_seed(cfg.fault, mem.size());
@@ -562,7 +563,6 @@ impl Fabric {
             scheduler: cfg.scheduler,
             fault_plan: (!plan.is_empty()).then_some(plan),
             sched: SchedStats::default(),
-            tile_sched: vec![TileSchedStats::default(); fab.tiles],
             skip_spans: cfg.trace.events.then(Vec::new),
             park_spans: cfg.trace.events.then(|| vec![Vec::new(); fab.tiles]),
         }
@@ -595,41 +595,35 @@ impl Fabric {
 
     /// Advance one cycle: every live tile's CPU first (in arbiter order,
     /// so call order *is* bank priority), then every live tile's HHT.
+    ///
+    /// A tile is live for the whole cycle when its core had not halted as
+    /// the cycle began, i.e. its `done_at` is still unset (a core halts only
+    /// while stepped, and `done_at` latches at the end of that cycle). So a
+    /// core that halts mid-cycle still gets its HHT stepped this cycle,
+    /// exactly as in the single-tile loop, where `step` runs the HHT after
+    /// the core halts and the `while` only exits afterwards.
     pub fn step(&mut self) {
         let n = self.tiles.len();
         let start = self.arb_start();
-        // Snapshot liveness before stepping: a core that halts mid-cycle
-        // still gets its HHT stepped this cycle (exactly the single-tile
-        // loop, where `step` runs the HHT after the core halts and the
-        // `while` only exits afterwards).
-        let active: Vec<bool> = self.tiles.iter().map(|t| !t.core.halted()).collect();
         for i in 0..n {
             let t = (start + i) % n;
-            if !active[t] {
-                continue;
-            }
             let tile = &mut self.tiles[t];
-            let mut port = FabricPort::new(&mut self.mem, t);
-            tile.core.step(self.cycle, &mut port, &mut tile.hht);
+            if tile.done_at.is_none() {
+                tile.core.step(self.cycle, &mut FabricPort::new(&mut self.mem, t), &mut tile.hht);
+            }
         }
         for i in 0..n {
             let t = (start + i) % n;
-            if !active[t] {
-                continue;
-            }
             let tile = &mut self.tiles[t];
-            let mut port = FabricPort::new(&mut self.mem, t);
-            tile.hht.step(self.cycle, &mut port);
+            if tile.done_at.is_none() {
+                tile.hht.step(self.cycle, &mut FabricPort::new(&mut self.mem, t));
+            }
         }
         self.cycle += 1;
         self.sched.stepped_cycles += 1;
-        for (t, live) in active.iter().enumerate() {
-            if *live {
-                self.tile_sched[t].stepped_cycles += 1;
-            }
-        }
-        for tile in &mut self.tiles {
-            if tile.done_at.is_none() && tile.core.halted() {
+        for tile in self.tiles.iter_mut().filter(|tile| tile.done_at.is_none()) {
+            tile.sched.stepped_cycles += 1;
+            if tile.core.halted() {
                 tile.done_at = Some(self.cycle);
             }
         }
@@ -642,7 +636,9 @@ impl Fabric {
     /// treating it as live would let a dead event bound park spans (the
     /// per-tile mirror of the wall-clock bug the global scheduler fixed).
     /// Both schedulers take the same cumulative due set and halts are
-    /// permanent, so the drop decision is scheduler-invariant.
+    /// permanent, so the drop decision is scheduler-invariant. Callers
+    /// test `fault_plan.is_some()` first, so a cycle without a plan makes
+    /// no call.
     fn inject_due_faults(&mut self) {
         let Some(plan) = self.fault_plan.as_mut() else {
             return;
@@ -740,7 +736,9 @@ impl Fabric {
             return self.run_event_queue();
         }
         while self.tiles.iter().any(|t| !t.core.halted()) {
-            self.inject_due_faults();
+            if self.fault_plan.is_some() {
+                self.inject_due_faults();
+            }
             self.step();
             if self.cycle >= self.max_cycles {
                 break;
@@ -893,8 +891,8 @@ impl Fabric {
             Replay::Busy => {}
         }
         tile.hht.skip_idle(now, span, &mut port);
-        self.tile_sched[t].skipped_cycles += span;
-        self.tile_sched[t].parks += 1;
+        tile.sched.skipped_cycles += span;
+        tile.sched.parks += 1;
         if let Some(parks) = self.park_spans.as_mut() {
             parks[t].push(SkipSpan { start: now, end: now + span });
         }
@@ -905,7 +903,7 @@ impl Fabric {
     /// watchdog limit). Returns the wake cycle of the park, `None` when
     /// the tile must step at `now`.
     fn probe_and_park(&mut self, t: usize, now: u64) -> Option<u64> {
-        self.tile_sched[t].probes += 1;
+        self.tiles[t].sched.probes += 1;
         let (bound, plan) = self.tile_bound(t, now)?;
         let mut target = bound.min(self.max_cycles);
         if let Some(f) = self.next_live_fault_cycle() {
@@ -918,15 +916,20 @@ impl Fabric {
         Some(target)
     }
 
-    /// Step the due tiles, given in arbiter order: CPUs first, then HHTs
-    /// — call order *is* bank priority, exactly as in `step`.
+    /// Step the due tiles (in tile order) in arbiter order: from the first
+    /// due tile at or after the arbiter's start tile on, wrapping round,
+    /// CPUs first, then HHTs — call order *is* bank priority, exactly as in
+    /// `step`.
     #[inline(always)]
-    fn step_due(&mut self, order: impl Iterator<Item = usize> + Clone, now: u64) {
-        for t in order.clone() {
-            self.step_core(t, now);
+    fn step_due(&mut self, due: &[usize], now: u64) {
+        let len = due.len();
+        let start = self.arb_start();
+        let first = due.partition_point(|&t| t < start);
+        for k in first..first + len {
+            self.step_core(due[if k < len { k } else { k - len }], now);
         }
-        for t in order {
-            self.step_hht(t, now);
+        for k in first..first + len {
+            self.step_hht(due[if k < len { k } else { k - len }], now);
         }
     }
 
@@ -1048,19 +1051,12 @@ impl Fabric {
                 let at = due.partition_point(|&d| d < t);
                 due.insert(at, t);
             }
-            self.inject_due_faults();
+            if self.fault_plan.is_some() {
+                self.inject_due_faults();
+            }
             let now = self.cycle;
             let next = now + 1;
-            // Arbiter order: the due tiles from the arbiter's start tile
-            // on, then the ones before it.
-            let start = self.arb_start();
-            if due.len() == n {
-                // Every tile is due: the order is a plain rotation.
-                self.step_due((start..n).chain(0..start), now);
-            } else {
-                let (before, after) = due.split_at(due.partition_point(|&t| t < start));
-                self.step_due(after.iter().chain(before).copied(), now);
-            }
+            self.step_due(&due, now);
             self.cycle = next;
             self.sched.stepped_cycles += 1;
             // Re-plan every stepped tile: halted tiles leave for good,
@@ -1068,10 +1064,9 @@ impl Fabric {
             let mut kept = 0;
             for i in 0..due.len() {
                 let t = due[i];
-                let ts = &mut self.tile_sched[t];
-                ts.pops += 1;
-                ts.stepped_cycles += 1;
                 let tile = &mut self.tiles[t];
+                tile.sched.pops += 1;
+                tile.sched.stepped_cycles += 1;
                 let p = &mut tile.probe;
                 if p.core_at == u64::MAX {
                     tile.done_at.get_or_insert(next);
@@ -1154,8 +1149,8 @@ impl Fabric {
 
     /// Host-side per-tile scheduler accounting (queue pops, stepped vs
     /// parked cycles). Indexed by tile.
-    pub fn tile_sched_stats(&self) -> &[TileSchedStats] {
-        &self.tile_sched
+    pub fn tile_sched_stats(&self) -> Vec<TileSchedStats> {
+        self.tiles.iter().map(|tile| tile.sched).collect()
     }
 
     /// Move the recorded per-tile parked spans out of the scheduler's sink

@@ -429,7 +429,7 @@ pub fn run_fabric(
         wall += st.cycles;
         mem_acc.absorb(&st.mem);
         sched.add(&fabric.sched_stats());
-        let attempt_tile_sched = fabric.tile_sched_stats().to_vec();
+        let attempt_tile_sched = fabric.tile_sched_stats();
         for (lt, &g) in survivors.iter().enumerate() {
             add_tile_sched(&mut tile_sched[g], &attempt_tile_sched[lt]);
         }
